@@ -96,8 +96,7 @@ PathStats RunPath(bool optimistic) {
           } else {
             ++mine.fallbacks;
             // Pre-placed read-only pages: the fallback cannot fail here.
-            (void)svc.ReadPage(**meta, page, 0, now, &now, nullptr,
-                               /*optimistic_fallback=*/true);
+            (void)svc.ReadPage(**meta, page, 0, now, &now);
           }
         } else {
           // Same: latency is the measurement, not the (always-ok) status.

@@ -370,11 +370,23 @@ class Service {
   /// when available, otherwise the blob's home node.
   std::size_t DefaultOwner(VectorMeta& meta, const storage::BlobId& id);
 
-  /// Node a read of `id` should be served from (local copy > replica >
-  /// primary owner > default owner). Charges the metadata lookup to *done.
-  std::size_t ChooseReadSource(VectorMeta& meta, const storage::BlobId& id,
-                               std::size_t from_node, sim::SimTime now,
-                               sim::SimTime* done);
+  /// Where a read of one page is served from. `loc` is the directory entry
+  /// the choice was made from (nullopt: unplaced). `coherent` is false for
+  /// a stand-in that must stage in (unplaced page, fenced primary).
+  struct ReadSource {
+    std::size_t node = 0;
+    std::optional<storage::BlobLocation> loc;
+    bool coherent = false;
+  };
+
+  /// The §6 source rule, the one place it lives: this node when it holds
+  /// the bytes as primary or registered replica; else a replica or the
+  /// primary spread by digest under read-only replication; else the
+  /// primary (a fenced one remaps to the next live node); an unplaced page
+  /// goes to its default owner. Charges the lookup to *done (nullptr: no).
+  ReadSource ChooseReadSource(VectorMeta& meta, const storage::BlobId& id,
+                              std::size_t from_node, sim::SimTime now,
+                              sim::SimTime* done);
 
   /// Under read-only replication: caches a remotely-fetched page in the
   /// local scache partition and registers the replica (Fig. 3). No-op in
@@ -389,15 +401,9 @@ class Service {
   /// lookup, remote transfer (if the owner is another node), device time,
   /// and stage-in as applicable. Concurrent faults for the same page on the
   /// same node share one fetch. `*done` receives the simulated completion.
-  /// `optimistic_fallback` marks the call as the queue fallback of a failed
-  /// optimistic attempt (counted under mm.readpath.fallback_count).
-  StatusOr<std::vector<std::uint8_t>> ReadPage(VectorMeta& meta,
-                                               std::uint64_t page,
-                                               std::size_t from_node,
-                                               sim::SimTime now,
-                                               sim::SimTime* done,
-                                               std::uint64_t* version = nullptr,
-                                               bool optimistic_fallback = false);
+  StatusOr<std::vector<std::uint8_t>> ReadPage(
+      VectorMeta& meta, std::uint64_t page, std::size_t from_node,
+      sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr);
 
   /// Lock-free read fast path (DESIGN.md §14): serves a whole-page read on
   /// the calling thread, bypassing the worker queues entirely. The
@@ -409,10 +415,11 @@ class Service {
   /// or a node the directory registers as a replica — never a stale cache.
   /// Returns nullopt — caller falls back to ReadPage — on: miss (unplaced
   /// page), version conflict after retries, ineligible coherence mode,
-  /// fenced source, CRC mismatch (the slow path heals it), or the
+  /// fenced source, CRC mismatch (the copy is dropped as corrupt), or the
   /// `enable_optimistic_reads` switch being off. On success charges the
-  /// metadata round trips plus the owner→reader transfer when remote, and
-  /// counts mm.readpath.fastpath_hit_count / retry_count on `from_node`.
+  /// metadata round trips plus the owner→reader transfer when remote.
+  /// Counts mm.readpath.fastpath_hit_count / retry_count / fallback_count
+  /// (each decline of an eligible attempt) on `from_node`.
   std::optional<std::vector<std::uint8_t>> TryReadPageOptimistic(
       VectorMeta& meta, std::uint64_t page, std::size_t from_node,
       sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr,
@@ -494,6 +501,25 @@ class Service {
   /// backend now holds the journaled version.
   bool TryJournalRecover(std::size_t node, const storage::BlobId& id,
                          const storage::BlobLocation& loc);
+
+  /// Who reads, which decides the sources ReadValidated accepts and how it
+  /// charges the virtual clock (DESIGN.md §6).
+  enum class ReadPolicy {
+    kLocal,       // ReadPage fast path: own copy, lookup overlaps the read
+    kOptimistic,  // TryReadPageOptimistic: lookup, copy, re-lookup in turn
+    kTask,        // ExecuteGetPage: any source, directory traffic uncharged
+  };
+
+  /// The one validated page copy (DESIGN.md §6): v1 from ChooseReadSource,
+  /// copy into *dst, CRC check against v1; only a mismatch (or kOptimistic)
+  /// re-reads the directory. A changed entry retries (3 attempts, then
+  /// kResourceExhausted), an unchanged one drops the copy as corrupt
+  /// (kDataLoss for a dirty primary). Other errors decline.
+  Status ReadValidated(VectorMeta& meta, const storage::BlobId& id,
+                       std::size_t from_node, ReadPolicy policy,
+                       sim::SimTime now, sim::SimTime* done,
+                       std::vector<std::uint8_t>* dst, std::uint64_t* version,
+                       int* retries = nullptr);
 
   /// Folds the spans of the (last analyzed, now_s] window into the
   /// mm.critpath.* counters and mirrors the wall-source totals.

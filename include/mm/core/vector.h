@@ -482,7 +482,7 @@ class Vector {
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t prefetches() const { return prefetches_; }
   PCache& pcache() { return *pcache_; }
-  VectorMeta& meta() { return *meta_; }
+  VectorMeta& meta() const { return *meta_; }
 
   // ---- TxHandle / iterator ----
 
@@ -706,11 +706,8 @@ class Vector {
       // decline — takes the synchronous routed fault.
       ++faults_;
       ctx_->Compute(ctx_->costs().page_fault_soft_s);
-      bool attempted = false;
       bool fetched = false;
-      if (read_intent && service_->options().enable_optimistic_reads &&
-          AllowsOptimisticReads(meta_->mode.load(std::memory_order_relaxed))) {
-        attempted = true;
+      if (read_intent) {
         const sim::SimTime fast_start = ctx_->clock().now();
         sim::SimTime fast_done = fast_start;
         if (auto fast = service_->TryReadPageOptimistic(
@@ -730,8 +727,8 @@ class Vector {
       if (!fetched) {
         sim::SimTime done = ctx_->clock().now();
         auto data_or = service_->ReadPage(*meta_, page, ctx_->node(),
-                                          ctx_->clock().now(), &done, &version,
-                                          /*optimistic_fallback=*/attempted);
+                                          ctx_->clock().now(), &done,
+                                          &version);
         if (!data_or.ok()) {
           throw std::runtime_error("page fault failed: " +
                                    data_or.status().ToString());

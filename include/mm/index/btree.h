@@ -477,38 +477,54 @@ class BTree : public BTreeBase {
   }
 
   bool TryReadAnchor(TreeAnchor* a) const {
-    if (anchor_.TryReadOptimistic(0, a)) return true;
-    return TryProbeScache(anchor_meta(), 0, a, sizeof(TreeAnchor));
+    return ReadTiered(anchor_, 0, a, /*probe=*/true, nullptr) != Tier::kMiss;
   }
 
   /// Tier 1 + 2 node snapshot; false = inconclusive miss. Any thread.
   bool TryReadNode(std::uint64_t id, Block* out) const {
     if (!opt_.latch_free) return false;
     metrics_.node_reads->Inc();
-    if (arena_.TryReadOptimistic(id, out)) {
-      metrics_.pcache_hits->Inc();
-      return true;
-    }
-    if (TryProbeScache(arena_meta(), id, out, sizeof(Block))) {
-      metrics_.scache_probes->Inc();
-      return true;
-    }
-    return false;
+    return CountTier(ReadTiered(arena_, id, out, /*probe=*/true, nullptr),
+                     nullptr);
   }
 
-  /// Directory-validated scache copy on the calling thread (thread-safe:
-  /// the metadata and buffer managers are internally synchronized). Uses a
-  /// detached virtual timestamp — cross-thread probes have no rank clock
-  /// to charge, exactly like Vector::TryReadOptimistic.
+  enum class Tier { kMiss, kPcache, kScache };
+
+  /// The latch-free tiers of one page read, shared by node and anchor
+  /// reads: (1) the local pcache frame seqlock, then, when `probe`, (2) the
+  /// directory-validated scache copy (`Service::TryReadPageOptimistic`,
+  /// thread-safe). The probe charges `clock` when given (owner thread) and
+  /// a detached timestamp otherwise — cross-thread probes have no rank
+  /// clock, exactly like Vector::TryReadOptimistic. The probe's pooled
+  /// buffer goes back to the node's PagePool, so probes allocate nothing.
   template <class T>
-  bool TryProbeScache(core::VectorMeta& meta, std::uint64_t page, T* out,
-                      std::size_t bytes) const {
-    sim::SimTime done = 0.0;
-    auto data = svc_->TryReadPageOptimistic(meta, page, ctx_->node(), 0.0,
-                                            &done);
-    if (!data.has_value() || data->size() < bytes) return false;
-    std::memcpy(out, data->data(), bytes);
-    return true;
+  Tier ReadTiered(const core::Vector<T>& vec, std::uint64_t page, T* out,
+                  bool probe, sim::VirtualClock* clock) const {
+    if (vec.TryReadOptimistic(page, out)) return Tier::kPcache;
+    if (!probe) return Tier::kMiss;
+    const sim::SimTime t0 = clock != nullptr ? clock->now() : 0.0;
+    sim::SimTime t1 = t0;
+    auto data = svc_->TryReadPageOptimistic(vec.meta(), page, ctx_->node(),
+                                            t0, &t1);
+    if (clock != nullptr) clock->AdvanceTo(t1);
+    if (!data.has_value()) return Tier::kMiss;
+    const bool whole = data->size() >= sizeof(T);
+    if (whole) std::memcpy(out, data->data(), sizeof(T));
+    svc_->runtime(ctx_->node()).pool().Release(std::move(*data));
+    return whole ? Tier::kScache : Tier::kMiss;
+  }
+
+  /// Counts a node read's serving tier (mirrored into `stats` on the owner
+  /// thread); true when a latch-free tier served it.
+  bool CountTier(Tier tier, DescentStats* stats) const {
+    if (tier == Tier::kPcache) {
+      metrics_.pcache_hits->Inc();
+      if (stats != nullptr) ++stats->pcache_hits;
+    } else if (tier == Tier::kScache) {
+      metrics_.scache_probes->Inc();
+      if (stats != nullptr) ++stats->scache_probes;
+    }
+    return tier != Tier::kMiss;
   }
 
   /// Owner-thread node snapshot through the three-tier funnel. The funnel
@@ -523,25 +539,11 @@ class BTree : public BTreeBase {
     ++stats_.node_reads;
     ctx_->Compute(ctx_->costs().memory_access_s +
                   ctx_->costs().mm_access_overhead_s);
-    if (opt_.latch_free) {
-      if (arena_.TryReadOptimistic(id, out)) {
-        metrics_.pcache_hits->Inc();
-        ++stats_.pcache_hits;
-        return;
-      }
-      if (leaf_hint) {
-        sim::SimTime t0 = ctx_->clock().now();
-        sim::SimTime t1 = t0;
-        auto data = svc_->TryReadPageOptimistic(arena_.meta(), id,
-                                                ctx_->node(), t0, &t1);
-        ctx_->clock().AdvanceTo(t1);
-        if (data.has_value() && data->size() >= sizeof(Block)) {
-          std::memcpy(out, data->data(), sizeof(Block));
-          metrics_.scache_probes->Inc();
-          ++stats_.scache_probes;
-          return;
-        }
-      }
+    if (opt_.latch_free &&
+        CountTier(ReadTiered(arena_, id, out, /*probe=*/leaf_hint,
+                             &ctx_->clock()),
+                  &stats_)) {
+      return;
     }
     metrics_.queue_fallbacks->Inc();
     ++stats_.queue_fallbacks;
@@ -789,13 +791,6 @@ class BTree : public BTreeBase {
     a->root = root_id;
     a->height = probe.hdr.level + 2;
     ++a->smo_epoch;
-  }
-
-  core::VectorMeta& arena_meta() const {
-    return const_cast<BTree*>(this)->arena_.meta();
-  }
-  core::VectorMeta& anchor_meta() const {
-    return const_cast<BTree*>(this)->anchor_.meta();
   }
 
   core::Service* svc_;

@@ -472,63 +472,43 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
                           " lost unstaged modifications");
     return out;
   }
+  VectorMeta* meta = service_->FindVectorById(task.id.vector_id);
+  if (meta == nullptr) {
+    out.status = NotFound("unknown vector for blob " + task.id.ToString());
+    return out;
+  }
   sim::SimTime dev_done = task.issue_time;
   // Pooled read buffer: travels as the outcome payload on success, returns
   // to the pool (via the guard) on every other path.
   std::vector<std::uint8_t> buf = pool_.Acquire(task.size);
   PoolReturn buf_guard(pool_, buf);
-  Status hit = bm_.GetInto(task.id, &buf, task.issue_time, &dev_done);
+  // A validated copy from this node's own bytes or, for a task routed on
+  // stale information, from the recorded owner (DESIGN.md §6).
+  Status hit = service_->ReadValidated(*meta, task.id, node_id_,
+                                       Service::ReadPolicy::kTask,
+                                       task.issue_time, &dev_done, &buf,
+                                       &out.version);
   if (hit.ok()) {
-    auto cur = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                           nullptr);
-    // Same coherence validation as the ReadPage fast path: bytes of an
-    // invalidated replica awaiting its queued erase are not a valid
-    // source. Downgrade to a miss so the read serves through from the
-    // recorded owner below.
-    bool coherent = !cur.ok() || cur->node == node_id_;
-    if (!coherent) {
-      auto replicas = service_->metadata().Replicas(task.id, node_id_,
-                                                    dev_done, nullptr);
-      coherent = std::find(replicas.begin(), replicas.end(), node_id_) !=
-                 replicas.end();
-    }
-    if (!coherent) hit = NotFound("local bytes are an invalidated replica");
-    bool corrupted = !coherent;
-    if (coherent && cur.ok() && options_.verify_checksums && cur->crc != 0 &&
-        Crc32(buf) != cur->crc) {
-      // Silent media corruption. Drop the bad copy; a clean page self-heals
-      // from the backend below, a dirty page's modifications are gone.
-      corrupted = true;
-      // Best-effort cleanup of the poisoned copy: the page is re-fetched
-      // from the backend below, so a failed erase only wastes cache bytes.
-      (void)bm_.Erase(task.id);
-      // Same best-effort cleanup; the directory entry is rewritten below.
-      (void)service_->metadata().Remove(task.id, node_id_, dev_done, nullptr);
-      if (cur->dirty) {
-        service_->RecordDataLoss(task.id, node_id_, dev_done);
-        out.status = DataLoss("page " + task.id.ToString() +
-                              " failed CRC check with unstaged modifications");
-        out.done = dev_done;
-        return out;
-      }
-    }
-    if (!corrupted) {
-      out.data = std::move(buf);
-      out.done = dev_done;
-      if (cur.ok()) out.version = cur->version;
-      return out;
-    }
-  } else if (hit.code() == StatusCode::kUnavailable) {
+    out.data = std::move(buf);
+    out.done = dev_done;
+    return out;
+  }
+  if (hit.code() == StatusCode::kUnavailable && service_->IsDataLost(task.id)) {
     // The tier died under this read. The BufferManager already drained it
-    // and OnTierFailure reconciled the metadata — re-check whether this
-    // page's modifications went down with the tier.
-    if (service_->IsDataLost(task.id)) {
-      out.status = DataLoss("page " + task.id.ToString() +
-                            " lost unstaged modifications");
-      out.done = dev_done;
-      return out;
-    }
-  } else if (hit.code() == StatusCode::kIoError) {
+    // and OnTierFailure reconciled the metadata: this page's modifications
+    // went down with the tier.
+    hit = DataLoss("page " + task.id.ToString() +
+                   " lost unstaged modifications");
+  }
+  if (hit.code() == StatusCode::kDataLoss ||
+      hit.code() == StatusCode::kResourceExhausted) {
+    // Lost modifications, or a page that kept changing under every copy:
+    // restaging from the backend would serve stale bytes as current.
+    out.status = hit;
+    out.done = dev_done;
+    return out;
+  }
+  if (hit.code() == StatusCode::kIoError) {
     // Retries exhausted on a live tier. A dirty page cannot be recreated
     // from the backend, so surface the error; a clean copy is dropped and
     // re-staged below.
@@ -542,35 +522,6 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
     // The stale frame is replaced by the fresh Put below; a failed erase
     // is corrected by the exact-accounting drop in PutScored.
     (void)bm_.Erase(task.id);
-  }
-  // No usable local bytes. If the directory maps the blob to another node,
-  // this task was routed on stale information (e.g. an invalidated replica
-  // erased between routing and execution): serve the read through from the
-  // recorded owner. Falling into the zero-fill below would re-register a
-  // zero page under the preserved version and re-home the directory here,
-  // making the real copy unreachable.
-  if (!hit.ok()) {
-    auto placed = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                              nullptr);
-    if (placed.ok() && placed->node != node_id_) {
-      sim::SimTime remote_done = dev_done;
-      Status rst = service_->runtime(placed->node)
-                       .buffer()
-                       .GetInto(task.id, &buf, dev_done, &remote_done);
-      if (rst.ok()) {
-        auto rsp = service_->cluster().network().Transfer(
-            remote_done, placed->node, node_id_, buf.size());
-        out.data = std::move(buf);
-        out.done = rsp.delivered;
-        out.version = placed->version;
-        return out;
-      }
-    }
-  }
-  VectorMeta* meta = service_->FindVectorById(task.id.vector_id);
-  if (meta == nullptr) {
-    out.status = NotFound("unknown vector for blob " + task.id.ToString());
-    return out;
   }
   // Fault through to the backend (or zero-fill a fresh page).
   out = StageInOrZero(*meta, task.id, task.issue_time);
@@ -645,8 +596,27 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     }
   }
   sim::SimTime dev_done = task.issue_time;
+  // Commit protocol (DESIGN.md §14): publish the entry as unverified (crc 0)
+  // before the bytes change, then the bumped version with the new CRC. A
+  // reader that sampled the old CRC and copied new bytes then sees the
+  // entry change and retries, instead of declaring the page corrupt.
+  auto before =
+      service_->metadata().Lookup(task.id, node_id_, dev_done, nullptr);
+  const bool cleared = before.ok() && before->crc != 0;
+  if (cleared) {
+    storage::BlobLocation unverified = *before;
+    unverified.crc = 0;
+    // Directory upserts cannot fail.
+    (void)service_->metadata().Update(task.id, unverified, node_id_,
+                                      dev_done, nullptr);
+  }
   Status st = bm_.PutPartial(task.id, task.offset, task.data, task.issue_time,
                              &dev_done);
+  if (!st.ok() && cleared) {
+    // The bytes did not change: put the old CRC back.
+    (void)service_->metadata().Update(task.id, *before, node_id_, dev_done,
+                                      nullptr);
+  }
   if (st.code() == StatusCode::kNotFound ||
       st.code() == StatusCode::kUnavailable) {
     // Page not resident (or its tier just died): materialize it (stage-in
@@ -735,9 +705,8 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     return out;
   }
   // Mark dirty, bump the write version, and re-checksum the committed page.
-  auto loc = service_->metadata().Lookup(task.id, node_id_, dev_done, nullptr);
-  if (loc.ok()) {
-    storage::BlobLocation updated = *loc;
+  if (before.ok()) {
+    storage::BlobLocation updated = *before;
     updated.dirty = true;
     out.prev_version = updated.version;
     ++updated.version;
@@ -1395,77 +1364,28 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
                                                       std::size_t from_node,
                                                       sim::SimTime now,
                                                       sim::SimTime* done,
-                                                      std::uint64_t* version,
-                                                      bool optimistic_fallback) {
+                                                      std::uint64_t* version) {
   storage::BlobId id{meta.vector_id, page};
-  if (optimistic_fallback) {
-    // This read tried the lock-free fast path first and lost (conflict,
-    // miss, or ineligible source); reconcile the telemetry so hit + fallback
-    // counts cover every attempted optimistic read (DESIGN.md §14).
-    runtime(from_node).CountReadpathFallback();
-    telemetry::NodeSink fb = telemetry_sink(from_node);
-    fb.trace->Instant("readpath_fallback", "readpath", fb.node, 0, now);
-  }
   if (IsDataLost(id)) {
     return DataLoss("page " + id.ToString() + " lost unstaged modifications");
   }
 
   // Fast path: the blob (or a replica) is already on this node. The read
   // buffer comes from the node's page pool and travels to the caller on
-  // success; the guard hands it back on every other path.
+  // success; the guard hands it back on every other path. A declined copy
+  // (incoherent bytes, a clean corrupt copy dropped, persistent races)
+  // falls through to the slow path, which heals from the owner/backend.
   if (runtime(from_node).buffer().FindBlob(id).has_value()) {
-    sim::SimTime local_done = now;
-    auto cur = metadata().Lookup(id, from_node, now, &local_done);
-    // Bytes here are only a coherent source while the directory still maps
-    // the blob to this node (primary) or registers this node as a replica:
-    // an invalidated replica's bytes linger until the queued erase drains,
-    // and serving them would label stale data with the current version.
-    bool local_coherent = !cur.ok() || cur->node == from_node;
-    if (!local_coherent) {
-      auto replicas = metadata().Replicas(id, from_node, now, nullptr);
-      local_coherent = std::find(replicas.begin(), replicas.end(),
-                                 from_node) != replicas.end();
-    }
     PagePool& pool = runtime(from_node).pool();
     std::vector<std::uint8_t> local = pool.Acquire(meta.page_bytes);
     PoolReturn local_guard(pool, local);
-    Status local_st = local_coherent
-                          ? runtime(from_node).buffer().GetInto(id, &local,
-                                                                now,
-                                                                &local_done)
-                          : NotFound("local bytes are an invalidated replica");
-    if (local_st.ok()) {
-      bool corrupted = false;
-      if (version != nullptr) {
-        *version = cur.ok() ? cur->version : 0;
-        if (cur.ok() && options_.verify_checksums && cur->crc != 0 &&
-            Crc32(local) != cur->crc) {
-          // Silent corruption caught on the local copy. Drop it; dirty
-          // pages surface typed data loss, clean pages fall through to the
-          // slow path and self-heal from the owner/backend.
-          corrupted = true;
-          // Best-effort drop of the poisoned replica before re-fetching.
-          (void)runtime(from_node).buffer().Erase(id);
-          if (cur->node == from_node) {
-            // Idempotent: a racing removal leaves nothing to remove.
-            (void)metadata().Remove(id, from_node, local_done, &local_done);
-            if (cur->dirty) {
-              RecordDataLoss(id, from_node, local_done);
-              Merge(local_done, done);
-              return DataLoss("page " + id.ToString() +
-                              " failed CRC check with unstaged modifications");
-            }
-          } else {
-            // Idempotent: replica may already be unregistered.
-            (void)metadata().RemoveReplica(id, from_node, from_node,
-                                           local_done, &local_done);
-          }
-        }
-      }
-      if (!corrupted) {
-        Merge(local_done, done);
-        return local;
-      }
+    sim::SimTime local_done = now;
+    Status st = ReadValidated(meta, id, from_node, ReadPolicy::kLocal, now,
+                              &local_done, &local, version);
+    if (st.ok() || st.code() == StatusCode::kDataLoss) {
+      Merge(local_done, done);
+      if (!st.ok()) return st;
+      return local;  // implicit move detaches from local_guard
     }
   }
 
@@ -1480,7 +1400,7 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
   // every rank computes identically, so concurrent first-touches of one
   // page can never materialize it on two nodes (split-brain).
   sim::SimTime t = now;
-  std::size_t owner = ChooseReadSource(meta, id, from_node, now, &t);
+  std::size_t owner = ChooseReadSource(meta, id, from_node, now, &t).node;
 
   // Concurrent faults for the same blob on this node share one fetch.
   InflightKey key{from_node, id};
@@ -1504,7 +1424,6 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
       task.id = id;
       task.size = meta.page_bytes;
       task.from_node = from_node;
-      task.optimistic_fallback = optimistic_fallback;
       task.tctx = fault_ctx;
       task.promise = std::make_shared<std::promise<TaskOutcome>>();
       if (owner == from_node) {
@@ -1565,113 +1484,161 @@ std::optional<std::vector<std::uint8_t>> Service::TryReadPageOptimistic(
     return std::nullopt;
   }
   storage::BlobId id{meta.vector_id, page};
-  // Typed data loss is the slow path's story to tell.
-  if (IsDataLost(id)) return std::nullopt;
-
+  telemetry::NodeSink sink = telemetry_sink(from_node);
+  NodeRuntime& rt = runtime(from_node);
+  // Copy the bytes straight out of the source scache on this thread — the
+  // BufferManager is internally synchronized; no worker queue, no promise,
+  // no task allocation. Typed data loss is the slow path's story to tell.
+  PagePool& pool = rt.pool();
+  std::vector<std::uint8_t> bytes = pool.Acquire(meta.page_bytes);
+  PoolReturn pool_guard(pool, bytes);
   sim::SimTime t = now;
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    // v1: sample the directory. Unplaced pages have no authoritative bytes
-    // anywhere yet — only the queued fault may materialize them.
-    sim::SimTime step = t;
-    auto v1 = metadata().Lookup(id, from_node, t, &step);
-    t = step;
-    if (!v1.ok()) return std::nullopt;
-
-    // Pick the source the §6 replica-validity rule blesses at v1: this
-    // node when the directory maps it as primary or registers it as a
-    // replica (never merely "bytes happen to linger here"), else the
-    // primary across the network.
-    std::size_t source = v1->node;
-    if (source != from_node &&
-        runtime(from_node).buffer().FindBlob(id).has_value()) {
-      auto replicas = metadata().Replicas(id, from_node, t, nullptr);
-      if (std::find(replicas.begin(), replicas.end(), from_node) !=
-          replicas.end()) {
-        source = from_node;
-      }
-    }
-    if (NodeFenced(source)) return std::nullopt;
-
-    // Copy the bytes straight out of the source scache on this thread —
-    // the BufferManager is internally synchronized; no worker queue, no
-    // promise, no task allocation.
-    PagePool& pool = runtime(from_node).pool();
-    std::vector<std::uint8_t> bytes = pool.Acquire(meta.page_bytes);
-    PoolReturn pool_guard(pool, bytes);
-    sim::SimTime copy_done = t;
-    Status st = runtime(source).buffer().GetInto(id, &bytes, t, &copy_done);
-    if (!st.ok()) return std::nullopt;  // raced an eviction: slow path re-stages
-
-    // v2: the copy is coherent only if no writer committed meanwhile. This
-    // is the optimistic guard's validate step at directory granularity; a
-    // changed version or moved primary means the copy may be torn.
-    sim::SimTime check_done = copy_done;
-    auto v2 = metadata().Lookup(id, from_node, copy_done, &check_done);
-    t = check_done;
-    if (!v2.ok() || v2->node != v1->node || v2->version != v1->version) {
-      if (retries != nullptr) ++*retries;
-      runtime(from_node).CountReadpathRetries(1);
-      continue;
-    }
-    if (options_.verify_checksums && v2->crc != 0 && Crc32(bytes) != v2->crc) {
-      // Corruption healing (replica drop, typed data loss) lives on the
-      // slow path; the fast path just declines.
-      return std::nullopt;
-    }
-    if (source != from_node) {
-      auto rsp =
-          cluster().network().Transfer(t, source, from_node, bytes.size());
-      t = rsp.delivered;
-    }
-    if (version != nullptr) *version = v2->version;
-    runtime(from_node).CountReadpathHit();
-    telemetry::NodeSink sink = telemetry_sink(from_node);
-    sink.trace->Instant("readpath_hit", "readpath", sink.node, 0, t);
-    Merge(t, done);
-    return bytes;  // implicit move detaches from pool_guard (capacity 0 after)
+  int raced = 0;
+  const bool served =
+      !IsDataLost(id) && ReadValidated(meta, id, from_node,
+                                       ReadPolicy::kOptimistic, now, &t,
+                                       &bytes, version, &raced)
+                             .ok();
+  rt.CountReadpathRetries(static_cast<std::uint64_t>(raced));
+  if (retries != nullptr) *retries = raced;
+  if (!served) {
+    // Every decline lands on the caller's queue fallback: counting it here
+    // keeps hits + fallbacks == attempts (DESIGN.md §14).
+    rt.CountReadpathFallback();
+    sink.trace->Instant("readpath_fallback", "readpath", sink.node, 0, now);
+    return std::nullopt;
   }
-  return std::nullopt;
+  rt.CountReadpathHit();
+  sink.trace->Instant("readpath_hit", "readpath", sink.node, 0, t);
+  Merge(t, done);
+  return bytes;  // implicit move detaches from pool_guard (capacity 0 after)
 }
 
-/// Picks where to serve a page read from: a node-local copy when present,
-/// a replica (spread by digest) under read-only replication, the primary
-/// owner otherwise, or the deterministic default for unplaced pages.
-std::size_t Service::ChooseReadSource(VectorMeta& meta,
-                                      const storage::BlobId& id,
-                                      std::size_t from_node, sim::SimTime now,
-                                      sim::SimTime* done) {
+Service::ReadSource Service::ChooseReadSource(VectorMeta& meta,
+                                              const storage::BlobId& id,
+                                              std::size_t from_node,
+                                              sim::SimTime now,
+                                              sim::SimTime* done) {
+  ReadSource src;
   bool local_bytes = runtime(from_node).buffer().FindBlob(id).has_value();
-  std::size_t owner = DefaultOwner(meta, id);
   auto loc = metadata().Lookup(id, from_node, now, done);
-  if (!loc.ok()) return local_bytes ? from_node : owner;
-  owner = loc->node;
-  // Local bytes count as a source only while the directory still maps the
-  // blob here (primary) or registers this node as a replica below: an
-  // invalidated replica's bytes linger until the queued erase drains, and
-  // routing a read at them serves stale data — or a fabricated zero page
-  // if the erase wins the race to this node's worker.
-  if (local_bytes && owner == from_node) return from_node;
-  if (AllowsReplication(meta.mode.load(std::memory_order_relaxed))) {
+  if (!loc.ok()) {
+    // Unplaced: only bytes already here (a fault between its scache put and
+    // its directory upsert) are servable; everyone else routes to the
+    // deterministic default owner, which every rank computes identically,
+    // so concurrent first-touches never materialize the page twice.
+    src.node = local_bytes ? from_node : DefaultOwner(meta, id);
+    src.coherent = local_bytes;
+    return src;
+  }
+  src.loc = *loc;
+  src.node = loc->node;
+  src.coherent = true;
+  // Local bytes count only while the directory maps the blob here or
+  // registers this node as a replica: an invalidated replica's bytes linger
+  // until the queued erase drains, and serving them would label stale data
+  // with the current version.
+  if (local_bytes && loc->node == from_node) return src;
+  const bool replicated =
+      AllowsReplication(meta.mode.load(std::memory_order_relaxed));
+  if (local_bytes || replicated) {
     auto replicas = metadata().Replicas(id, from_node, now, nullptr);
-    if (!replicas.empty()) {
-      for (std::size_t r : replicas) {
-        if (r == from_node && local_bytes) return from_node;
-      }
+    if (local_bytes && std::find(replicas.begin(), replicas.end(),
+                                 from_node) != replicas.end()) {
+      src.node = from_node;
+      return src;
+    }
+    if (replicated && !replicas.empty()) {
       std::vector<std::size_t> candidates;
-      if (!NodeFenced(owner)) candidates.push_back(owner);
+      if (!NodeFenced(loc->node)) candidates.push_back(loc->node);
       for (std::size_t r : replicas) {
         if (!NodeFenced(r)) candidates.push_back(r);
       }
       if (!candidates.empty()) {
-        owner = candidates[(id.Digest() ^ from_node) % candidates.size()];
+        src.node = candidates[(id.Digest() ^ from_node) % candidates.size()];
+        return src;
       }
     }
   }
-  // A fenced owner (directory entry not yet reconciled, or home-hash on a
-  // dead node) is remapped to the next live node, which stage-ins from the
-  // backend on demand.
-  return Unfenced(owner);
+  // A fenced owner (directory entry not yet reconciled) is remapped to the
+  // next live node, which stages the page in from the backend on demand.
+  src.node = Unfenced(loc->node);
+  src.coherent = src.node == loc->node;
+  return src;
+}
+
+Status Service::ReadValidated(VectorMeta& meta, const storage::BlobId& id,
+                              std::size_t from_node, ReadPolicy policy,
+                              sim::SimTime now, sim::SimTime* done,
+                              std::vector<std::uint8_t>* dst,
+                              std::uint64_t* version, int* retries) {
+  constexpr int kMaxAttempts = 3;
+  const bool charged = policy != ReadPolicy::kTask;
+  sim::SimTime t = now;
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    // v1: the source rule's own directory sample, taken before the copy.
+    sim::SimTime looked = t;
+    ReadSource src =
+        ChooseReadSource(meta, id, from_node, t, charged ? &looked : nullptr);
+    const bool eligible =
+        policy == ReadPolicy::kLocal ? src.coherent && src.node == from_node
+        : policy == ReadPolicy::kOptimistic
+            ? src.coherent && src.loc.has_value()
+            : src.coherent || src.loc.has_value();
+    if (!eligible) {
+      return NotFound("no coherent copy of " + id.ToString() + " to read");
+    }
+    // A task routed around a fenced owner serves through from the recorded
+    // owner's bytes.
+    const std::size_t source = src.coherent ? src.node : src.loc->node;
+    // The local read overlaps its lookup; the optimistic copy follows it.
+    sim::SimTime copied = policy == ReadPolicy::kOptimistic ? looked : t;
+    MM_RETURN_IF_ERROR(
+        runtime(source).buffer().GetInto(id, dst, copied, &copied));
+    t = std::max(looked, copied);
+    const bool crc_ok = !src.loc.has_value() || !options_.verify_checksums ||
+                        src.loc->crc == 0 || Crc32(*dst) == src.loc->crc;
+    if (!crc_ok || policy == ReadPolicy::kOptimistic) {
+      // v2: a changed entry means a commit landed since v1 and the copy
+      // may mix versions; an unchanged one makes a CRC mismatch corruption.
+      sim::SimTime checked = t;
+      auto v2 = metadata().Lookup(id, from_node, t,
+                                  charged ? &checked : nullptr);
+      t = checked;
+      if (!v2.ok() || v2->node != src.loc->node ||
+          v2->version != src.loc->version || v2->crc != src.loc->crc) {
+        if (retries != nullptr) ++*retries;
+        continue;
+      }
+      if (!crc_ok) {
+        // Corrupt: drop the bytes and their directory record, the primary
+        // entry or the replica registration (idempotent either way). A
+        // dirty primary's modifications are gone; anything else re-fetches.
+        (void)runtime(source).buffer().Erase(id);
+        sim::SimTime* charge = charged ? &t : nullptr;
+        const bool primary = src.loc->node == source;
+        (void)(primary ? metadata().Remove(id, from_node, t, charge)
+                       : metadata().RemoveReplica(id, source, from_node, t,
+                                                  charge));
+        Merge(t, done);
+        if (!primary || !src.loc->dirty) {
+          return NotFound("corrupt copy of " + id.ToString() + " dropped");
+        }
+        RecordDataLoss(id, from_node, t);
+        return DataLoss("page " + id.ToString() +
+                        " failed CRC check with unstaged modifications");
+      }
+    }
+    if (source != from_node) {
+      t = cluster().network().Transfer(t, source, from_node, dst->size())
+              .delivered;
+    }
+    if (version != nullptr) *version = src.loc ? src.loc->version : 0;
+    Merge(t, done);
+    return Status::Ok();
+  }
+  return ResourceExhausted("page " + id.ToString() + " changed under " +
+                           std::to_string(kMaxAttempts) + " read attempts");
 }
 
 void Service::MaybeReplicate(VectorMeta& meta, std::uint64_t page,
@@ -1704,7 +1671,7 @@ Service::AsyncRead Service::ReadPageAsync(VectorMeta& meta,
                                           std::size_t from_node,
                                           sim::SimTime now) {
   storage::BlobId id{meta.vector_id, page};
-  std::size_t owner = ChooseReadSource(meta, id, from_node, now, nullptr);
+  std::size_t owner = ChooseReadSource(meta, id, from_node, now, nullptr).node;
   MemoryTask task;
   task.kind = MemoryTask::Kind::kGetPage;
   task.vector_id = meta.vector_id;

@@ -255,6 +255,37 @@ TEST(BTreeProperty, KvWorkloadChecksumMatchesReference) {
                        std::max<std::uint64_t>(res.stats.descents, 1)));
 }
 
+// The scache probe hands its pooled page buffer back: once warm, a stream
+// of leaf probes allocates nothing from the node's PagePool.
+TEST(BTreeProbe, LeafProbesReuseThePagePool) {
+  auto cluster = sim::Cluster::PaperTestbed(1);
+  core::Service svc(cluster.get(), SvcOptions());
+  auto run = comm::RunRanks(*cluster, 1, 1, [&](comm::RankContext& ctx) {
+    BTreeOptions opt;
+    opt.max_nodes = 1 << 16;
+    opt.cache_bytes = 8 * 256;  // a few frames: leaves miss the pcache
+    SmallTree tree(svc, ctx, "mem://bt_probe_pool", opt);
+    tree.Create();
+    constexpr std::uint64_t kN = 2000;
+    for (std::uint64_t i = 0; i < kN; ++i) tree.Put(MixU64(i), i);
+    auto get_all = [&] {
+      for (std::uint64_t i = 0; i < kN; ++i) {
+        std::uint64_t v = 0;
+        ASSERT_TRUE(tree.Get(MixU64(i), &v)) << i;
+        ASSERT_EQ(v, i);
+      }
+    };
+    get_all();  // warm-up: fills the pool and the pcache
+    const core::PagePool& pool = svc.runtime(ctx.node()).pool();
+    const std::uint64_t allocations = pool.allocations();
+    const std::uint64_t probes = tree.stats().scache_probes;
+    get_all();
+    EXPECT_GT(tree.stats().scache_probes - probes, kN / 2);
+    EXPECT_EQ(pool.allocations(), allocations);
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
+}
+
 // ---------------------------------------------------------------------------
 // Multi-rank coherence: concurrent writers through the SMO lease
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 // versions is detectable — and retries must stay bounded per attempt.
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -271,13 +272,12 @@ TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
       svc.metrics(1).GetCounter("mm.readpath.fastpath_hit_count")->value(),
       1u);
 
-  // Unplaced page: the fast path declines (miss), and the queue fallback
-  // is counted when flagged.
+  // Unplaced page: the fast path declines (miss) and counts the queue
+  // fallback itself.
   auto miss = svc.TryReadPageOptimistic(**meta, 7, 0, remote_done,
                                         &remote_done, nullptr, nullptr);
   EXPECT_FALSE(miss.has_value());
-  auto fallback = svc.ReadPage(**meta, 7, 0, remote_done, &remote_done,
-                               nullptr, /*optimistic_fallback=*/true);
+  auto fallback = svc.ReadPage(**meta, 7, 0, remote_done, &remote_done);
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(svc.metrics(0).GetCounter("mm.readpath.fallback_count")->value(),
             1u);
@@ -295,6 +295,89 @@ TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
       svc2.TryReadPageOptimistic(**meta2, 0, 0, d2, &d2, nullptr, nullptr)
           .has_value());
 }
+
+// A page read racing in-place commits must never be mistaken for
+// corruption. One thread commits 256-byte regions into a resident 4 KiB
+// page on its owner while reader threads read the whole page with
+// ReadPage — from the owner itself (local validated copy) or from the other
+// node (the owner's worker serves it). Every read must succeed, and no
+// page may be declared lost.
+class ReadRacesCommitTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReadRacesCommitTest, NoFalseDataLoss) {
+  const bool remote_reader = GetParam();
+  constexpr std::uint64_t kBytes = 4096, kRegion = 256;
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(8)}};
+  core::Service svc(cluster.get(), so);
+  core::VectorOptions vo;
+  vo.nonvolatile = false;
+  vo.page_size = kBytes;
+  auto meta = svc.RegisterVector("read_races_commit", 1, vo, kBytes);
+  ASSERT_TRUE(meta.ok());
+  TaskOutcome placed =
+      svc.WriteRegion(**meta, 0, 0, std::vector<std::uint8_t>(kBytes, 1), 0,
+                      0.0)
+          .get();
+  ASSERT_TRUE(placed.status.ok());
+  auto loc = svc.metadata().Lookup(storage::BlobId{(*meta)->vector_id, 0}, 0,
+                                   0.0, nullptr);
+  ASSERT_TRUE(loc.ok());
+  const std::size_t owner = loc->node;
+  const std::size_t reader_node = remote_reader ? 1 - owner : owner;
+
+  constexpr int kCommits = 2000, kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::string write_error;
+  std::thread writer([&] {
+    for (int i = 0; i < kCommits && write_error.empty(); ++i) {
+      const std::uint64_t off = (i % (kBytes / kRegion)) * kRegion;
+      std::vector<std::uint8_t> region(kRegion,
+                                       static_cast<std::uint8_t>(i | 1));
+      TaskOutcome out =
+          svc.WriteRegion(**meta, 0, off, std::move(region), owner, 0.0).get();
+      if (!out.status.ok()) write_error = out.status.ToString();
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::string> errors(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t mine = 0;
+      while (!stop.load(std::memory_order_acquire) || mine < 100) {
+        sim::SimTime done = 0.0;
+        std::uint64_t version = 0;
+        auto page = svc.ReadPage(**meta, 0, reader_node, 0.0, &done, &version);
+        ++mine;
+        if (!page.ok()) {
+          errors[r] = page.status().ToString();
+          break;
+        }
+        if (page->size() != kBytes) {
+          errors[r] = "short page";
+          break;
+        }
+      }
+      reads.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  for (const std::string& e : errors) {
+    EXPECT_EQ(e, "") << "after " << reads.load() << " reads";
+  }
+  EXPECT_EQ(write_error, "");
+  EXPECT_EQ(svc.data_loss_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Readers, ReadRacesCommitTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("RemoteReader")
+                                             : std::string("OwnerReader");
+                         });
 
 // Write-only coherence is the one mode the fast path must refuse.
 TEST(ReadpathServiceTest, WriteOnlyModeIneligible) {
