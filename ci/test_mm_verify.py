@@ -736,7 +736,71 @@ class A {
         self.assertEqual(findings_for(files, "MML002"), [])
 
 
+    def test_explicit_release_ok(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void GiveBack() {
+    auto buf = pool_.Acquire(64);
+    pool_.Release(std::move(buf));
+  }
+  PagePool pool_;
+};
+}  // namespace mm::x
+""",
+        }
+        self.assertEqual(findings_for(files, "MML002"), [])
+
+    def test_non_pool_acquire_ignored(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void Lock() {
+    auto held = dl_.Acquire(ctx_);
+    held.Touch();
+  }
+  DistributedLock dl_;
+  Ctx ctx_;
+};
+}  // namespace mm::x
+""",
+        }
+        self.assertEqual(findings_for(files, "MML002"), [])
+
+    def test_mm_lint_suppression_spelling_honored(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void Leak() {
+    // mm-lint: allow(MML002 fixture hands the buffer off out of band)
+    auto buf = pool_.Acquire(4096);
+    buf[0] = 1;
+  }
+  PagePool pool_;
+};
+}  // namespace mm::x
+""",
+        }
+        self.assertEqual(findings_for(files, "MML002"), [])
+
+
 class TestMML003PinBalance(unittest.TestCase):
+    def test_pcache_definitions_exempt(self):
+        files = {
+            "src/core/pcache.cc": """
+namespace mm::core {
+void PCache::Grab(std::uint64_t page) { Pin(page); }
+}  // namespace mm::core
+""",
+        }
+        self.assertEqual(findings_for(files, "MML003"), [])
+
     def test_unbalanced_class_flagged(self):
         files = {
             "src/x/a.cc": """

@@ -5,6 +5,7 @@
 // processes submit MemoryTasks to the runtime through queues).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <optional>
@@ -74,6 +75,13 @@ struct VectorMeta {
     std::uint64_t sz = size_bytes.load(std::memory_order_relaxed);
     return (sz + page_bytes - 1) / page_bytes;
   }
+  /// Bytes of page `page_idx` inside the logical size: what the backend
+  /// holds (or should hold) for it; 0 for a page past the end.
+  std::uint64_t page_extent(std::uint64_t page_idx) const {
+    std::uint64_t off = page_idx * page_bytes;
+    std::uint64_t sz = size_bytes.load(std::memory_order_relaxed);
+    return off < sz ? std::min(page_bytes, sz - off) : 0;
+  }
 };
 
 /// One node's runtime: worker threads draining MemoryTask queues. Tasks for
@@ -142,26 +150,33 @@ class NodeRuntime {
   TaskOutcome StageInOrZero(VectorMeta& meta, const storage::BlobId& id,
                             sim::SimTime now);
 
-  /// Stager calls routed through the fault injector and retry policy, with
-  /// PFS device time charged per attempt.
-  Status BackendRead(VectorMeta& meta, std::uint64_t offset,
-                     std::uint64_t size, std::vector<std::uint8_t>* bytes,
-                     sim::SimTime now, sim::SimTime* done);
-  Status BackendWrite(VectorMeta& meta, std::uint64_t offset,
-                      const std::uint8_t* bytes, std::uint64_t size,
-                      sim::SimTime now, sim::SimTime* done);
+  /// Places `bytes` as this node's primary copy of `id`: a pooled copy
+  /// into the scache (PutScored with `loc->score`), then `*loc` — with this
+  /// node and the chosen tier filled in — upserted as the directory entry.
+  /// A failed put publishes nothing and returns the put's status.
+  Status PlacePage(const storage::BlobId& id,
+                   const std::vector<std::uint8_t>& bytes,
+                   storage::BlobLocation* loc, sim::SimTime now,
+                   sim::SimTime* done);
+
+  /// One stager transfer of `*bytes` (its size is the transfer size) at
+  /// `offset`: read into it or write from it, routed through the fault
+  /// injector and retry policy, with PFS device time charged per attempt.
+  Status BackendIo(bool is_write, VectorMeta& meta, std::uint64_t offset,
+                   std::vector<std::uint8_t>* bytes, sim::SimTime now,
+                   sim::SimTime* done);
 
   /// Crash-consistent flush (DESIGN.md §12): appends a redo record with the
   /// page's directory version/CRC to this node's journal — durable before
-  /// the in-place BackendWrite — and honors the armed crash points.
-  /// `version`/`page_crc` describe the full committed page the payload
-  /// belongs to. Falls through to a plain BackendWrite when journaling is
-  /// off.
+  /// the in-place write — and honors the armed crash points. `version` /
+  /// `page_crc` describe the full committed page the payload (`*bytes`,
+  /// trimmed to the logical extent) belongs to. Falls through to a plain
+  /// backend write when journaling is off.
   Status JournaledBackendWrite(VectorMeta& meta, const storage::BlobId& id,
                                std::uint64_t version, std::uint32_t page_crc,
-                               std::uint64_t offset, const std::uint8_t* bytes,
-                               std::uint64_t size, sim::SimTime now,
-                               sim::SimTime* done);
+                               std::uint64_t offset,
+                               std::vector<std::uint8_t>* bytes,
+                               sim::SimTime now, sim::SimTime* done);
 
   Service* service_;
   std::size_t node_id_;
@@ -520,6 +535,28 @@ class Service {
                        sim::SimTime now, sim::SimTime* done,
                        std::vector<std::uint8_t>* dst, std::uint64_t* version,
                        int* retries = nullptr);
+
+  /// Registered vectors not yet destroyed, in key order; only those with a
+  /// backend when `nonvolatile_only`.
+  std::vector<VectorMeta*> LiveVectors(bool nonvolatile_only);
+
+  /// What one stage-out fan-out did: the first error (submission order),
+  /// the last completion, and the pages staged and their logical bytes.
+  struct StageOutResult {
+    Status status;
+    sim::SimTime end = 0.0;
+    std::size_t submitted = 0;
+    std::uint64_t pages = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  /// The one stage-out fan-out (DESIGN.md §12), behind FlushVector,
+  /// Checkpoint and Shutdown: ensures each vector's backend, submits a
+  /// kStageOut for every dirty page to its owner (tagged with `tctx`),
+  /// and waits for all of them.
+  StageOutResult StageOutDirty(const std::vector<VectorMeta*>& vectors,
+                               std::size_t from_node, sim::SimTime now,
+                               telemetry::TraceContext tctx);
 
   /// Folds the spans of the (last analyzed, now_s] window into the
   /// mm.critpath.* counters and mirrors the wall-source totals.

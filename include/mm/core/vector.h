@@ -831,41 +831,34 @@ class Vector {
   /// Real-time wait for outstanding async commits (no virtual charge: the
   /// writes are asynchronous in simulated time).
   void WaitOutstanding() {
-    for (auto& [page, f] : outstanding_) {
-      TaskOutcome outcome = f.get();
-      if (!outcome.status.ok()) {
-        throw std::runtime_error("async commit failed: " +
-                                 outcome.status.ToString());
-      }
-      // The frame may adopt the committed version only when no other
-      // rank's write landed in between (its bytes would be missing here).
-      if (PageFrame* frame = pcache_->Find(page)) {
-        if (outcome.prev_version == OptimisticGuard::Version(*frame)) {
-          OptimisticGuard::SetVersion(*frame, outcome.version);
-        }
-      }
-    }
+    for (auto& [page, f] : outstanding_) Retire(page, f);
     outstanding_.clear();
   }
 
   /// Waits for (and retires) outstanding commits targeting one page.
   void WaitPage(std::uint64_t page) {
-    auto it = outstanding_.begin();
-    while (it != outstanding_.end()) {
-      if (it->first == page) {
-        TaskOutcome outcome = it->second.get();
-        if (!outcome.status.ok()) {
-          throw std::runtime_error("async commit failed: " +
-                                   outcome.status.ToString());
-        }
-        if (PageFrame* frame = pcache_->Find(page)) {
-          if (outcome.prev_version == OptimisticGuard::Version(*frame)) {
-            OptimisticGuard::SetVersion(*frame, outcome.version);
-          }
-        }
-        it = outstanding_.erase(it);
-      } else {
+    for (auto it = outstanding_.begin(); it != outstanding_.end();) {
+      if (it->first != page) {
         ++it;
+        continue;
+      }
+      Retire(page, it->second);
+      it = outstanding_.erase(it);
+    }
+  }
+
+  /// Waits for one async commit and throws if it failed. The frame adopts
+  /// the committed version only when no other rank's write landed in
+  /// between (its bytes would be missing here).
+  void Retire(std::uint64_t page, const std::shared_future<TaskOutcome>& f) {
+    const TaskOutcome& outcome = f.get();
+    if (!outcome.status.ok()) {
+      throw std::runtime_error("async commit failed: " +
+                               outcome.status.ToString());
+    }
+    if (PageFrame* frame = pcache_->Find(page)) {
+      if (outcome.prev_version == OptimisticGuard::Version(*frame)) {
+        OptimisticGuard::SetVersion(*frame, outcome.version);
       }
     }
   }

@@ -76,21 +76,10 @@ class BufferManager {
                     const std::vector<std::uint8_t>& data, sim::SimTime now,
                     sim::SimTime* done);
 
-  /// Reads a whole blob from whichever tier holds it.
-  StatusOr<std::vector<std::uint8_t>> Get(const BlobId& id, sim::SimTime now,
-                                          sim::SimTime* done);
-
   /// Reads a whole blob into a caller-provided buffer, reusing its
   /// capacity (zero-copy task path: workers pass pooled page buffers).
   Status GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
                  sim::SimTime now, sim::SimTime* done);
-
-  /// Reads a fragment of a blob.
-  StatusOr<std::vector<std::uint8_t>> GetPartial(const BlobId& id,
-                                                 std::uint64_t offset,
-                                                 std::uint64_t size,
-                                                 sim::SimTime now,
-                                                 sim::SimTime* done);
 
   /// Tier index currently holding `id`, or nullopt.
   std::optional<std::size_t> FindBlob(const BlobId& id) const;
@@ -120,29 +109,21 @@ class BufferManager {
     std::vector<BlobId> lost;
   };
 
-  // Lock-holding bodies of the public entry points. Split out (instead of
-  // immediately-invoked lambdas) so the thread-safety analysis can check
-  // them: a lambda body is a separate, unannotated function to Clang.
+  // Lock-holding body of PutScored. Split out (instead of an
+  // immediately-invoked lambda) so the thread-safety analysis can check
+  // it: a lambda body is a separate, unannotated function to Clang.
   StatusOr<std::size_t> PutScoredLocked(const BlobId& id,
                                         std::vector<std::uint8_t> data,
                                         float score, sim::SimTime now,
                                         sim::SimTime* done) MM_REQUIRES(mu_);
-  Status PutPartialLocked(const BlobId& id, std::uint64_t offset,
-                          const std::vector<std::uint8_t>& data,
-                          sim::SimTime now, sim::SimTime* done)
-      MM_REQUIRES(mu_);
-  StatusOr<std::vector<std::uint8_t>> GetLocked(const BlobId& id,
-                                                sim::SimTime now,
-                                                sim::SimTime* done)
-      MM_REQUIRES(mu_);
-  Status GetIntoLocked(const BlobId& id, std::vector<std::uint8_t>* out,
-                       sim::SimTime now, sim::SimTime* done) MM_REQUIRES(mu_);
-  StatusOr<std::vector<std::uint8_t>> GetPartialLocked(const BlobId& id,
-                                                       std::uint64_t offset,
-                                                       std::uint64_t size,
-                                                       sim::SimTime now,
-                                                       sim::SimTime* done)
-      MM_REQUIRES(mu_);
+
+  /// Runs `op(tier, start, attempt_done)` under the retry policy on the
+  /// live tier holding `id` (kNotFound when none does), then drains and
+  /// reports any tier that failed meanwhile. The body of every
+  /// resident-blob access.
+  template <typename Op>
+  Status OnResidentTier(const BlobId& id, sim::SimTime now,
+                        sim::SimTime* done, Op op) MM_EXCLUDES(mu_);
 
   /// Moves one blob from tier `from` to tier `to` (charges both devices).
   /// Holds mu_ for the whole placement decision it is part of.

@@ -54,6 +54,10 @@ class Stager {
 
   virtual bool Exists(const Uri& uri) = 0;
   virtual Status Remove(const Uri& uri) = 0;
+
+  /// Rejects a key this backend cannot address faithfully (kInvalidArgument).
+  /// StagerRegistry::Resolve applies it, so no vector binds to such a key.
+  virtual Status CheckUri(const Uri& /*uri*/) const { return Status::Ok(); }
 };
 
 /// Scheme -> stager dispatch. Thread-safe after construction.
@@ -68,7 +72,7 @@ class StagerRegistry {
   /// Stager for `scheme`; error when unknown.
   StatusOr<Stager*> Get(const std::string& scheme) const;
 
-  /// Convenience: parse `key` and return (stager, uri).
+  /// Parses `key` and returns (stager, uri) once the stager accepts it.
   StatusOr<std::pair<Stager*, Uri>> Resolve(const std::string& key) const;
 
  private:

@@ -271,11 +271,13 @@ TaskOutcome NodeRuntime::Execute(MemoryTask& task) {
   return TaskOutcome{Internal("unknown task kind"), {}, task.issue_time};
 }
 
-Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
-                                std::uint64_t size,
-                                std::vector<std::uint8_t>* bytes,
-                                sim::SimTime now, sim::SimTime* done) {
+Status NodeRuntime::BackendIo(bool is_write, VectorMeta& meta,
+                              std::uint64_t offset,
+                              std::vector<std::uint8_t>* bytes,
+                              sim::SimTime now, sim::SimTime* done) {
   sim::Device& pfs = service_->cluster().pfs();
+  const std::uint64_t size = bytes->size();
+  const char* op = is_write ? "write" : "read";
   sim::SimTime end = now;
   int attempts = 0;
   Status st = RunWithRetry(
@@ -286,16 +288,22 @@ Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
           return Unavailable("PFS backend unavailable");
         }
         if (d.kind == sim::FaultInjector::Decision::Kind::kTransient) {
-          sim::SimTime attempt_end =
-              pfs.Stall(start, pfs.spec().read_latency_s * d.spike_factor);
-          *attempt_done = std::max(*attempt_done, attempt_end);
-          return IoError("injected transient fault on backend read of '" +
-                         meta.key + "'");
+          double lat = is_write ? pfs.spec().write_latency_s
+                                : pfs.spec().read_latency_s;
+          *attempt_done = std::max(*attempt_done,
+                                   pfs.Stall(start, lat * d.spike_factor));
+          return IoError(std::string("injected transient fault on backend ") +
+                         op + " of '" + meta.key + "'");
         }
-        bytes->clear();
-        MM_RETURN_IF_ERROR(meta.stager->Read(meta.uri, offset, size, bytes));
-        *attempt_done =
-            std::max(*attempt_done, pfs.Read(start, size, d.spike_factor));
+        if (is_write) {
+          MM_RETURN_IF_ERROR(
+              meta.stager->Write(meta.uri, offset, bytes->data(), size));
+        } else {
+          MM_RETURN_IF_ERROR(meta.stager->Read(meta.uri, offset, size, bytes));
+        }
+        sim::SimTime io_end = is_write ? pfs.Write(start, size, d.spike_factor)
+                                       : pfs.Read(start, size, d.spike_factor);
+        *attempt_done = std::max(*attempt_done, io_end);
         return Status::Ok();
       },
       &attempts);
@@ -305,58 +313,17 @@ Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
     // per-attempt detail; repeating the URI for every attempt only de-tunes
     // the log. The counter is what the epoch report surfaces.
     stager_errors_->Inc();
-    MM_WARN("stager") << "backend read of '" << meta.key << "' failed after "
-                      << attempts << " attempt(s): " << st.ToString();
+    MM_WARN("stager") << "backend " << op << " of '" << meta.key
+                      << "' failed after " << attempts
+                      << " attempt(s): " << st.ToString();
     return st;
   }
   if (attempts > 1) {
     stager_retries_->Inc(static_cast<std::uint64_t>(attempts - 1));
   }
-  stager_read_bytes_->Inc(bytes->size());
-  tel_.trace->CompleteFlow("stager_read", "stager", tel_.node, 0, now, end,
-                           telemetry::CurrentTraceContext(), 't');
-  return st;
-}
-
-Status NodeRuntime::BackendWrite(VectorMeta& meta, std::uint64_t offset,
-                                 const std::uint8_t* bytes, std::uint64_t size,
-                                 sim::SimTime now, sim::SimTime* done) {
-  sim::Device& pfs = service_->cluster().pfs();
-  sim::SimTime end = now;
-  int attempts = 0;
-  Status st = RunWithRetry(
-      options_.retry, now, &end,
-      [&](double start, double* attempt_done) -> Status {
-        auto d = service_->fault_injector().OnBackendOp();
-        if (d.kind == sim::FaultInjector::Decision::Kind::kPermanent) {
-          return Unavailable("PFS backend unavailable");
-        }
-        if (d.kind == sim::FaultInjector::Decision::Kind::kTransient) {
-          sim::SimTime attempt_end =
-              pfs.Stall(start, pfs.spec().write_latency_s * d.spike_factor);
-          *attempt_done = std::max(*attempt_done, attempt_end);
-          return IoError("injected transient fault on backend write of '" +
-                         meta.key + "'");
-        }
-        MM_RETURN_IF_ERROR(meta.stager->Write(meta.uri, offset, bytes, size));
-        *attempt_done =
-            std::max(*attempt_done, pfs.Write(start, size, d.spike_factor));
-        return Status::Ok();
-      },
-      &attempts);
-  Merge(end, done);
-  if (!st.ok()) {
-    // Same once-per-burst policy as BackendRead.
-    stager_errors_->Inc();
-    MM_WARN("stager") << "backend write of '" << meta.key << "' failed after "
-                      << attempts << " attempt(s): " << st.ToString();
-    return st;
-  }
-  if (attempts > 1) {
-    stager_retries_->Inc(static_cast<std::uint64_t>(attempts - 1));
-  }
-  stager_write_bytes_->Inc(size);
-  tel_.trace->CompleteFlow("stager_write", "stager", tel_.node, 0, now, end,
+  (is_write ? stager_write_bytes_ : stager_read_bytes_)->Inc(size);
+  tel_.trace->CompleteFlow(is_write ? "stager_write" : "stager_read",
+                           "stager", tel_.node, 0, now, end,
                            telemetry::CurrentTraceContext(), 't');
   return st;
 }
@@ -366,8 +333,8 @@ Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
                                           std::uint64_t version,
                                           std::uint32_t page_crc,
                                           std::uint64_t offset,
-                                          const std::uint8_t* bytes,
-                                          std::uint64_t size, sim::SimTime now,
+                                          std::vector<std::uint8_t>* bytes,
+                                          sim::SimTime now,
                                           sim::SimTime* done) {
   sim::FaultInjector& inj = service_->fault_injector();
   if (inj.crashed()) {
@@ -385,7 +352,7 @@ Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
     rec.offset = offset;
     rec.page_crc = page_crc;
     rec.key = meta.key;
-    rec.payload.assign(bytes, bytes + size);
+    rec.payload = *bytes;
     if (inj.AtCrashPoint(sim::CrashPoint::kMidJournalAppend)) {
       // Death halfway through the append: a torn record on disk, no
       // in-place write. Recovery must discard the tail and keep the
@@ -400,8 +367,10 @@ Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
     MM_RETURN_IF_ERROR(journal->Append(rec));
     // The redo record is real backend I/O: charge a PFS write for it.
     sim::Device& pfs = service_->cluster().pfs();
-    Merge(pfs.Write(now, size + ckpt::Journal::kRecordOverheadBytes), done);
-    ckpt_journal_bytes_->Inc(size + ckpt::Journal::kRecordOverheadBytes);
+    const std::uint64_t rec_bytes =
+        bytes->size() + ckpt::Journal::kRecordOverheadBytes;
+    Merge(pfs.Write(now, rec_bytes), done);
+    ckpt_journal_bytes_->Inc(rec_bytes);
     if (inj.AtCrashPoint(sim::CrashPoint::kAfterJournalAppend)) {
       // Record durable, in-place write never starts: recovery replays the
       // record to bring the backend to `version`.
@@ -415,14 +384,15 @@ Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
       // Death mid in-place write leaves a torn page on the backend; the
       // durable record above is what heals it during recovery.
       // mm-lint: allow(MML005 crash simulation leaves a deliberately torn page)
-      (void)meta.stager->Write(meta.uri, offset, bytes, size / 2);
+      (void)meta.stager->Write(meta.uri, offset, bytes->data(),
+                               bytes->size() / 2);
       service_->DumpFlightRecord(
           node_id_, sim::CrashPointName(sim::CrashPoint::kMidInPlaceWrite),
           now);
       return Unavailable("simulated crash mid in-place write");
     }
   }
-  return BackendWrite(meta, offset, bytes, size, now, done);
+  return BackendIo(/*is_write=*/true, meta, offset, bytes, now, done);
 }
 
 TaskOutcome NodeRuntime::StageInOrZero(VectorMeta& meta,
@@ -430,36 +400,30 @@ TaskOutcome NodeRuntime::StageInOrZero(VectorMeta& meta,
                                        sim::SimTime now) {
   TaskOutcome out;
   out.done = now;
-  std::uint64_t page_off = id.page_idx * meta.page_bytes;
-  std::uint64_t logical = meta.size_bytes.load(std::memory_order_relaxed);
   // Pooled and explicitly zeroed: a recycled buffer must not leak a
   // previous page's bytes into a logically-fresh page. Ownership travels
   // out as the TaskOutcome payload; the worker recycles it after use.
-  // mm-lint: allow(MML002 buffer leaves as the returned outcome payload)
   out.data = pool_.AcquireZeroed(meta.page_bytes);
-  if (meta.stager != nullptr && page_off < logical) {
-    std::uint64_t want = std::min(meta.page_bytes, logical - page_off);
-    // Only stage in what the backend actually holds.
-    bool exists = false;
-    std::uint64_t backend_size = 0;
-    {
-      MutexLock lock(meta.backend_mu);
-      exists = meta.backend_ready || meta.stager->Exists(meta.uri);
-    }
-    if (exists) {
-      auto size_or = meta.stager->Size(meta.uri);
-      if (size_or.ok()) backend_size = *size_or;
-    }
-    if (backend_size > page_off) {
-      std::uint64_t avail = std::min<std::uint64_t>(want, backend_size - page_off);
-      std::vector<std::uint8_t> bytes;
-      Status st = BackendRead(meta, page_off, avail, &bytes, now, &out.done);
-      if (!st.ok()) {
-        out.status = st;
-        return out;
-      }
-      std::copy(bytes.begin(), bytes.end(), out.data.begin());
-    }
+  std::uint64_t want = meta.page_extent(id.page_idx);
+  if (meta.stager == nullptr || want == 0) return out;
+  // Only stage in what the backend actually holds.
+  std::uint64_t page_off = id.page_idx * meta.page_bytes;
+  bool exists = false;
+  std::uint64_t backend_size = 0;
+  {
+    MutexLock lock(meta.backend_mu);
+    exists = meta.backend_ready || meta.stager->Exists(meta.uri);
+  }
+  if (exists) {
+    auto size_or = meta.stager->Size(meta.uri);
+    if (size_or.ok()) backend_size = *size_or;
+  }
+  if (backend_size > page_off) {
+    // Read straight into the page's head; regrowing restores the zero tail.
+    out.data.resize(std::min<std::uint64_t>(want, backend_size - page_off));
+    out.status = BackendIo(/*is_write=*/false, meta, page_off, &out.data, now,
+                           &out.done);
+    out.data.resize(meta.page_bytes);
   }
   return out;
 }
@@ -526,54 +490,57 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   // Fault through to the backend (or zero-fill a fresh page).
   out = StageInOrZero(*meta, task.id, task.issue_time);
   if (!out.status.ok()) return out;
+  const std::uint32_t crc = Crc32(out.data);
+  auto prev = service_->metadata().Lookup(task.id, node_id_, out.done,
+                                          nullptr);
   // Restored and written-through pages keep a directory entry with a kPfs
   // residency hint and the committed full-page CRC: verify the staged-in
   // bytes against it, so a torn or stale backend page surfaces as typed
   // data loss instead of silently serving wrong bytes (DESIGN.md §12).
-  if (options_.verify_checksums && meta->stager != nullptr) {
-    auto backed = service_->metadata().Lookup(task.id, node_id_, out.done,
-                                              nullptr);
-    if (backed.ok() && backed->tier == sim::TierKind::kPfs &&
-        !backed->dirty && backed->crc != 0 && Crc32(out.data) != backed->crc) {
-      service_->RecordDataLoss(task.id, node_id_, out.done);
-      pool_.Release(std::move(out.data));
-      out.data.clear();
-      out.status = DataLoss("page " + task.id.ToString() +
-                            " staged in from the backend does not match its "
-                            "recorded checksum");
-      return out;
-    }
+  if (options_.verify_checksums && meta->stager != nullptr && prev.ok() &&
+      prev->tier == sim::TierKind::kPfs && !prev->dirty && prev->crc != 0 &&
+      crc != prev->crc) {
+    service_->RecordDataLoss(task.id, node_id_, out.done);
+    pool_.Release(std::move(out.data));
+    out.data.clear();
+    out.status = DataLoss("page " + task.id.ToString() +
+                          " staged in from the backend does not match its "
+                          "recorded checksum");
+    return out;
   }
-  // Cache the page locally and record its location. A full scache is not an
-  // error for reads: the page is served through without caching. The cached
-  // copy comes from the pool so the steady-state read path allocates nothing.
+  // Cache the page locally, keeping an existing version (e.g. a page
+  // written through to the backend). A full scache is not an error for
+  // reads: the page is served through without caching.
+  storage::BlobLocation loc;
+  loc.size = out.data.size();
+  loc.score = task.score;
+  loc.score_node = task.from_node;
+  loc.version = prev.ok() ? prev->version : 0;
+  loc.crc = crc;
   sim::SimTime put_done = out.done;
-  std::vector<std::uint8_t> cache_copy = pool_.Acquire(out.data.size());
-  std::copy(out.data.begin(), out.data.end(), cache_copy.begin());
-  auto tier = bm_.PutScored(task.id, std::move(cache_copy), task.score,
-                            out.done, &put_done);
-  if (tier.ok()) {
-    // Preserve an existing version if the page previously lived elsewhere
-    // (e.g. written through to the backend).
-    auto prev = service_->metadata().Lookup(task.id, node_id_, out.done,
-                                            nullptr);
-    storage::BlobLocation loc;
-    loc.node = node_id_;
-    loc.tier = bm_.tier(*tier).kind();
-    loc.size = out.data.size();
-    loc.score = task.score;
-    loc.score_node = task.from_node;
-    loc.dirty = false;
-    loc.version = prev.ok() ? prev->version : 0;
-    loc.crc = Crc32(out.data);
-    // Directory upsert on the home shard cannot fail; timing is charged
-    // through `done` on the read path instead.
-    (void)service_->metadata().Update(task.id, loc, node_id_, out.done,
-                                      nullptr);
+  if (PlacePage(task.id, out.data, &loc, out.done, &put_done).ok()) {
     out.version = loc.version;
     out.done = put_done;
   }
   return out;
+}
+
+Status NodeRuntime::PlacePage(const storage::BlobId& id,
+                              const std::vector<std::uint8_t>& bytes,
+                              storage::BlobLocation* loc, sim::SimTime now,
+                              sim::SimTime* done) {
+  // The cached copy comes from the pool so the steady-state paths allocate
+  // nothing.
+  std::vector<std::uint8_t> copy = pool_.Acquire(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), copy.begin());
+  auto tier = bm_.PutScored(id, std::move(copy), loc->score, now, done);
+  if (!tier.ok()) return tier.status();
+  loc->node = node_id_;
+  loc->tier = bm_.tier(*tier).kind();
+  // Directory upsert on the home shard cannot fail; its cost is carried by
+  // the task's own timing.
+  (void)service_->metadata().Update(id, *loc, node_id_, now, nullptr);
+  return Status::Ok();
 }
 
 TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
@@ -584,139 +551,120 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     out.status = NotFound("unknown vector for blob " + task.id.ToString());
     return out;
   }
-  if (service_->IsDataLost(task.id)) {
-    if (task.offset == 0 && task.data.size() >= meta->page_bytes) {
-      // A full-page overwrite replaces the lost bytes entirely, so the page
-      // is whole again.
-      service_->ClearDataLoss(task.id);
-    } else {
-      out.status = DataLoss("partial write to page " + task.id.ToString() +
-                            " that lost unstaged modifications");
-      return out;
-    }
-  }
   sim::SimTime dev_done = task.issue_time;
-  // Commit protocol (DESIGN.md §14): publish the entry as unverified (crc 0)
-  // before the bytes change, then the bumped version with the new CRC. A
-  // reader that sampled the old CRC and copied new bytes then sees the
-  // entry change and retries, instead of declaring the page corrupt.
   auto before =
       service_->metadata().Lookup(task.id, node_id_, dev_done, nullptr);
-  const bool cleared = before.ok() && before->crc != 0;
-  if (cleared) {
-    storage::BlobLocation unverified = *before;
-    unverified.crc = 0;
-    // Directory upserts cannot fail.
-    (void)service_->metadata().Update(task.id, unverified, node_id_,
-                                      dev_done, nullptr);
+  // The committed page is produced one of two ways. In place: the resident
+  // bytes are patched under the commit protocol (DESIGN.md §14) — the entry
+  // is published as unverified (crc 0) before the bytes change, so a
+  // reader that sampled the old CRC and copied new bytes sees the entry
+  // change and retries instead of declaring the page corrupt. A lost page
+  // is never patched: it is rebuilt below or the write fails.
+  const bool lost = service_->IsDataLost(task.id);
+  Status st;
+  if (!lost) {
+    const bool cleared = before.ok() && before->crc != 0;
+    if (cleared) {
+      storage::BlobLocation unverified = *before;
+      unverified.crc = 0;
+      // Directory upserts cannot fail.
+      (void)service_->metadata().Update(task.id, unverified, node_id_,
+                                        dev_done, nullptr);
+    }
+    st = bm_.PutPartial(task.id, task.offset, task.data, task.issue_time,
+                        &dev_done);
+    if (!st.ok() && cleared) {
+      // The bytes did not change: put the old CRC back.
+      (void)service_->metadata().Update(task.id, *before, node_id_, dev_done,
+                                        nullptr);
+    }
   }
-  Status st = bm_.PutPartial(task.id, task.offset, task.data, task.issue_time,
-                             &dev_done);
-  if (!st.ok() && cleared) {
-    // The bytes did not change: put the old CRC back.
-    (void)service_->metadata().Update(task.id, *before, node_id_, dev_done,
-                                      nullptr);
-  }
-  if (st.code() == StatusCode::kNotFound ||
-      st.code() == StatusCode::kUnavailable) {
-    // Page not resident (or its tier just died): materialize it (stage-in
-    // or zeros), apply the modification, and cache the result. If the tier
-    // death took unstaged modifications with it (recorded by OnTierFailure
-    // during the failed PutPartial), a partial rewrite over zeros would be
-    // silent corruption — surface it instead.
+  storage::BlobLocation loc;
+  // Materialized: the page bytes built here, placed below.
+  std::vector<std::uint8_t> page;
+  PoolReturn page_guard(pool_, page);
+  if (!lost && st.ok()) {
+    if (!before.ok()) {
+      out.done = dev_done;
+      return out;  // resident but never placed: nothing to publish
+    }
+    loc = *before;
+    out.prev_version = loc.version;
+    auto crc = bm_.Checksum(task.id);
+    loc.crc = crc.ok() ? *crc : 0;
+  } else if (lost || st.code() == StatusCode::kNotFound ||
+             st.code() == StatusCode::kUnavailable) {
+    // Materialized: the page is not resident (or its tier just died), so
+    // stage it in (or zero-fill), apply the write and place it. Only a
+    // full-page overwrite rebuilds a page whose unstaged modifications were
+    // lost (possibly by the tier death during the PutPartial above); a
+    // partial rewrite over stale or zero bytes would be silent corruption.
     if (service_->IsDataLost(task.id)) {
-      if (task.offset == 0 && task.data.size() >= meta->page_bytes) {
-        service_->ClearDataLoss(task.id);
-      } else {
+      if (task.offset != 0 || task.data.size() < meta->page_bytes) {
         out.status = DataLoss("partial write to page " + task.id.ToString() +
                               " that lost unstaged modifications");
         return out;
       }
+      service_->ClearDataLoss(task.id);
     }
     TaskOutcome base = StageInOrZero(*meta, task.id, task.issue_time);
     if (!base.status.ok()) return base;
-    MM_CHECK(task.offset + task.data.size() <= base.data.size());
+    page = std::move(base.data);
+    MM_CHECK(task.offset + task.data.size() <= page.size());
     std::copy(task.data.begin(), task.data.end(),
-              base.data.begin() + static_cast<std::ptrdiff_t>(task.offset));
+              page.begin() + static_cast<std::ptrdiff_t>(task.offset));
     dev_done = base.done;
-    std::vector<std::uint8_t> page_data = std::move(base.data);
-    // page_data came from the pool (StageInOrZero); hand it back on every
-    // exit from this scope, including errors.
-    PoolReturn page_guard(pool_, page_data);
-    std::uint32_t page_crc = Crc32(page_data);
-    std::vector<std::uint8_t> cache_copy = pool_.Acquire(page_data.size());
-    std::copy(page_data.begin(), page_data.end(), cache_copy.begin());
-    auto tier = bm_.PutScored(task.id, std::move(cache_copy), task.score,
-                              dev_done, &dev_done);
-    auto prev = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                            nullptr);
-    storage::BlobLocation loc;
-    loc.node = node_id_;
+    auto prev =
+        service_->metadata().Lookup(task.id, node_id_, dev_done, nullptr);
     loc.size = meta->page_bytes;
     loc.score = task.score;
     loc.score_node = task.from_node;
-    loc.version = (prev.ok() ? prev->version : 0) + 1;
-    loc.crc = page_crc;
-    if (tier.ok()) {
-      loc.tier = bm_.tier(*tier).kind();
-      loc.dirty = true;
-    } else {
-      if (meta->stager == nullptr) {
-        // Volatile vector with a full scache: the write cannot be held.
-        out.status = tier.status();
-        return out;
-      }
-      // Nonvolatile vector, scache full (or dead) everywhere: write
-      // straight through to the backend. Later faults stage the page back
-      // in from there.
-      Status eb = service_->EnsureBackend(*meta);
-      if (!eb.ok()) {
-        out.status = eb;
-        return out;
-      }
-      std::uint64_t page_off = task.id.page_idx * meta->page_bytes;
-      std::uint64_t logical = meta->size_bytes.load(std::memory_order_relaxed);
-      std::uint64_t want = std::min<std::uint64_t>(
-          page_data.size(), logical > page_off ? logical - page_off : 0);
-      page_data.resize(want);
-      // Journal under the NEW version being committed: the write-through is
-      // this page's only durable copy, so its redo record is what recovery
-      // replays if the in-place write tears.
-      Status wt = JournaledBackendWrite(*meta, task.id, loc.version, loc.crc,
-                                        page_off, page_data.data(),
-                                        page_data.size(), dev_done, &dev_done);
-      if (!wt.ok()) {
-        out.status = wt;
-        return out;
-      }
-      loc.tier = sim::TierKind::kPfs;
-      loc.dirty = false;  // already persistent
-    }
-    // Directory upsert cannot fail; the write outcome already carries the
-    // authoritative status.
-    (void)service_->metadata().Update(task.id, loc, node_id_, dev_done,
-                                      nullptr);
-    out.version = loc.version;
-    out.done = dev_done;
-    return out;
-  }
-  if (!st.ok()) {
+    loc.version = prev.ok() ? prev->version : 0;
+    loc.crc = Crc32(page);
+  } else {
     out.status = st;
     return out;
   }
-  // Mark dirty, bump the write version, and re-checksum the committed page.
-  if (before.ok()) {
-    storage::BlobLocation updated = *before;
-    updated.dirty = true;
-    out.prev_version = updated.version;
-    ++updated.version;
-    auto crc = bm_.Checksum(task.id);
-    updated.crc = crc.ok() ? *crc : 0;
-    // Directory upsert cannot fail; the commit's status is what callers see.
-    (void)service_->metadata().Update(task.id, updated, node_id_, dev_done,
-                                      nullptr);
-    out.version = updated.version;
+  // The commit: the next version, the new CRC, dirty until staged out.
+  ++loc.version;
+  loc.dirty = true;
+  if (!page.empty()) {
+    Status placed = PlacePage(task.id, page, &loc, dev_done, &dev_done);
+    if (placed.ok()) {
+      out.version = loc.version;
+      out.done = dev_done;
+      return out;
+    }
+    if (meta->stager == nullptr) {
+      // Volatile vector with a full scache: the write cannot be held.
+      out.status = placed;
+      return out;
+    }
+    // Nonvolatile vector, scache full (or dead) everywhere: write straight
+    // through to the backend, journaled under the version being committed —
+    // this is the page's only durable copy, so its redo record is what
+    // recovery replays if the in-place write tears. Later faults stage the
+    // page back in from there.
+    Status wt = service_->EnsureBackend(*meta);
+    if (wt.ok()) {
+      page.resize(meta->page_extent(task.id.page_idx));
+      wt = JournaledBackendWrite(*meta, task.id, loc.version, loc.crc,
+                                 task.id.page_idx * meta->page_bytes, &page,
+                                 dev_done, &dev_done);
+    }
+    if (!wt.ok()) {
+      out.status = wt;
+      return out;
+    }
+    loc.node = node_id_;
+    loc.tier = sim::TierKind::kPfs;
+    loc.dirty = false;  // already persistent
   }
+  // Publish. The upsert cannot fail; the commit's status is what callers
+  // see.
+  (void)service_->metadata().Update(task.id, loc, node_id_, dev_done,
+                                    nullptr);
+  out.version = loc.version;
   out.done = dev_done;
   return out;
 }
@@ -768,22 +716,20 @@ TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
     out.status = eb;
     return out;
   }
-  std::uint64_t page_off = task.id.page_idx * meta->page_bytes;
-  std::uint64_t logical = meta->size_bytes.load(std::memory_order_relaxed);
-  if (page_off >= logical) return out;  // page past the logical end
-  std::uint64_t want = std::min<std::uint64_t>(buf.size(), logical - page_off);
+  std::uint64_t want = meta->page_extent(task.id.page_idx);
+  if (want == 0) return out;  // page past the logical end
   // The version/CRC this flush persists are fixed before touching the
   // backend: the journal record must promise exactly the committed state a
-  // recovered directory entry will carry (full-page CRC, even when the
-  // logical tail trims the payload below).
-  std::uint32_t page_crc = Crc32(buf);
+  // recovered directory entry will carry — the full-page CRC, even when the
+  // logical tail trims the payload below. A commit already recorded it;
+  // only an entry without one costs a checksum here.
   auto pre = service_->metadata().Lookup(task.id, node_id_, read_done, nullptr);
   std::uint64_t version = pre.ok() ? pre->version : 0;
-  if (pre.ok() && pre->crc != 0) page_crc = pre->crc;
-  buf.resize(want);
+  std::uint32_t page_crc = pre.ok() && pre->crc != 0 ? pre->crc : Crc32(buf);
+  buf.resize(std::min<std::uint64_t>(buf.size(), want));
   out.done = read_done;
   Status st = JournaledBackendWrite(*meta, task.id, version, page_crc,
-                                    page_off, buf.data(), buf.size(),
+                                    task.id.page_idx * meta->page_bytes, &buf,
                                     read_done, &out.done);
   if (!st.ok()) {
     out.status = st;
@@ -890,23 +836,10 @@ void Service::Shutdown() {
   // the simulated process crashed: a dead process flushes nothing, so
   // on-disk state stays exactly what the crash left for recovery to replay.
   if (!injector_->crashed()) {
-    std::vector<VectorMeta*> to_flush;
-    {
-      // Collect outside the lock: stage-out workers call FindVectorById,
-      // which takes vectors_mu_.
-      MutexLock lock(vectors_mu_);
-      for (auto& [key, meta] : vectors_) {
-        if (meta->stager != nullptr && !meta->destroyed.load()) {
-          to_flush.push_back(meta.get());
-        }
-      }
-    }
-    for (VectorMeta* meta : to_flush) {
-      Status st = FlushVector(*meta, 0, 0.0, nullptr);
-      if (!st.ok()) {
-        MM_WARN("service") << "shutdown flush of '" << meta->key
-                           << "' failed: " << st.ToString();
-      }
+    std::vector<VectorMeta*> live = LiveVectors(/*nonvolatile_only=*/true);
+    Status st = StageOutDirty(live, 0, 0.0, {}).status;
+    if (!st.ok()) {
+      MM_WARN("service") << "shutdown flush failed: " << st.ToString();
     }
   }
   for (auto& rt : runtimes_) rt->Shutdown();
@@ -1208,17 +1141,7 @@ Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
                                                 sim::SimTime now) {
   FenceNode(dead_node);
   RecoveryStats stats;
-  std::vector<VectorMeta*> vecs;
-  {
-    MutexLock lock(vectors_mu_);
-    vecs.reserve(vectors_.size());
-    for (auto& [key, meta] : vectors_) {
-      if (!meta->destroyed.load(std::memory_order_relaxed)) {
-        vecs.push_back(meta.get());
-      }
-    }
-  }
-  for (VectorMeta* meta : vecs) {
+  for (VectorMeta* meta : LiveVectors(/*nonvolatile_only=*/false)) {
     for (const storage::BlobId& id :
          metadata().BlobsOfVector(meta->vector_id)) {
       ++stats.pages_scanned;
@@ -1772,47 +1695,78 @@ void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
 Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
                             sim::SimTime now, sim::SimTime* done) {
   if (meta.stager == nullptr) return Status::Ok();  // volatile: no backend
-  MM_RETURN_IF_ERROR(EnsureBackend(meta));
-  auto blobs = metadata().BlobsOfVector(meta.vector_id);
-  std::vector<std::shared_future<TaskOutcome>> futures;
   // One flow for the whole flush: the sync "flush" origin below fans out to
   // every stage_out task span ('t' hops) across the owning nodes.
   telemetry::TraceContext flush_ctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
-  for (const auto& id : blobs) {
-    auto loc = metadata().Lookup(id, from_node, now, nullptr);
-    if (!loc.ok() || !loc->dirty) continue;
-    MemoryTask task;
-    task.kind = MemoryTask::Kind::kStageOut;
-    task.vector_id = meta.vector_id;
-    task.id = id;
-    task.from_node = from_node;
-    task.issue_time = now;
-    task.tctx = flush_ctx;
-    task.promise = std::make_shared<std::promise<TaskOutcome>>();
-    futures.push_back(task.promise->get_future().share());
-    // A shutdown rejection still fulfills the promise collected above.
-    (void)runtime(loc->node).Submit(std::move(task));
-  }
-  Status first_error;
-  sim::SimTime flush_end = now;
-  for (auto& f : futures) {
-    TaskOutcome outcome = f.get();
-    Merge(outcome.done, done);
-    Merge(outcome.done, &flush_end);
-    if (!outcome.status.ok() && first_error.ok()) {
-      first_error = outcome.status;
-    }
-  }
-  if (!futures.empty()) {
+  StageOutResult r = StageOutDirty({&meta}, from_node, now, flush_ctx);
+  if (r.submitted > 0) {
+    Merge(r.end, done);
     telemetry::NodeSink sink = telemetry_sink(from_node);
     // `done == nullptr` is the FlushAsync path: the caller's clock never
-    // advances to flush_end, so the flow must be async ('a') or the
+    // advances to the flush's end, so the flow must be async ('a') or the
     // critical-path analyzer would charge a stall nobody paid.
-    sink.trace->CompleteFlow("flush", "flush", sink.node, 0, now, flush_end,
+    sink.trace->CompleteFlow("flush", "flush", sink.node, 0, now, r.end,
                              flush_ctx, done != nullptr ? 's' : 'a');
   }
-  return first_error;
+  return r.status;
+}
+
+std::vector<VectorMeta*> Service::LiveVectors(bool nonvolatile_only) {
+  // Callers work on the list outside the lock: stage-out workers call
+  // FindVectorById, which takes vectors_mu_.
+  MutexLock lock(vectors_mu_);
+  std::vector<VectorMeta*> out;
+  for (auto& [key, meta] : vectors_) {
+    if (meta->destroyed.load(std::memory_order_relaxed)) continue;
+    if (nonvolatile_only && meta->stager == nullptr) continue;
+    out.push_back(meta.get());
+  }
+  return out;
+}
+
+Service::StageOutResult Service::StageOutDirty(
+    const std::vector<VectorMeta*>& vectors, std::size_t from_node,
+    sim::SimTime now, telemetry::TraceContext tctx) {
+  StageOutResult r;
+  r.end = now;
+  std::vector<std::pair<std::shared_future<TaskOutcome>, std::uint64_t>>
+      pending;  // (completion, logical bytes) per submitted page
+  for (VectorMeta* meta : vectors) {
+    Status eb = EnsureBackend(*meta);
+    if (!eb.ok()) {
+      if (r.status.ok()) r.status = eb;
+      continue;
+    }
+    for (const auto& id : metadata().BlobsOfVector(meta->vector_id)) {
+      auto loc = metadata().Lookup(id, from_node, now, nullptr);
+      if (!loc.ok() || !loc->dirty) continue;
+      MemoryTask task;
+      task.kind = MemoryTask::Kind::kStageOut;
+      task.vector_id = meta->vector_id;
+      task.id = id;
+      task.from_node = from_node;
+      task.issue_time = now;
+      task.tctx = tctx;
+      task.promise = std::make_shared<std::promise<TaskOutcome>>();
+      pending.emplace_back(task.promise->get_future().share(),
+                           meta->page_extent(id.page_idx));
+      // A shutdown rejection still fulfills the promise collected above.
+      (void)runtime(loc->node).Submit(std::move(task));
+    }
+  }
+  r.submitted = pending.size();
+  for (auto& [future, bytes] : pending) {
+    TaskOutcome outcome = future.get();
+    Merge(outcome.done, &r.end);
+    if (!outcome.status.ok()) {
+      if (r.status.ok()) r.status = outcome.status;
+      continue;
+    }
+    ++r.pages;
+    r.bytes += bytes;
+  }
+  return r;
 }
 
 Status Service::ChangePhase(VectorMeta& meta, CoherenceMode new_mode,

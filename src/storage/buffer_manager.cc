@@ -118,108 +118,45 @@ StatusOr<std::size_t> BufferManager::PutScoredLocked(
   }
 }
 
+template <typename Op>
+Status BufferManager::OnResidentTier(const BlobId& id, sim::SimTime now,
+                                     sim::SimTime* done, Op op) {
+  MutexLock lock(mu_);
+  TierStore* holder = nullptr;
+  for (auto& t : tiers_) {
+    if (!t->failed() && t->Contains(id)) {
+      holder = t.get();
+      break;
+    }
+  }
+  Status result =
+      holder == nullptr
+          ? NotFound("blob " + id.ToString() + " not resident")
+          : RunWithRetry(retry_, now, done,
+                         [&](double start, double* attempt_done) {
+                           return op(*holder, start, attempt_done);
+                         });
+  std::vector<PendingFailure> failures = CollectFailuresLocked();
+  lock.Unlock();
+  NotifyFailures(std::move(failures), now);
+  return result;
+}
+
 Status BufferManager::PutPartial(const BlobId& id, std::uint64_t offset,
                                  const std::vector<std::uint8_t>& data,
                                  sim::SimTime now, sim::SimTime* done) {
-  MutexLock lock(mu_);
-  Status result = PutPartialLocked(id, offset, data, now, done);
-  std::vector<PendingFailure> failures = CollectFailuresLocked();
-  lock.Unlock();
-  NotifyFailures(std::move(failures), now);
-  return result;
-}
-
-Status BufferManager::PutPartialLocked(const BlobId& id, std::uint64_t offset,
-                                       const std::vector<std::uint8_t>& data,
-                                       sim::SimTime now, sim::SimTime* done) {
-  for (auto& t : tiers_) {
-    if (t->failed()) continue;
-    if (t->Contains(id)) {
-      return RunWithRetry(retry_, now, done,
-                          [&](double start, double* attempt_done) {
-                            return t->PutPartial(id, offset, data, start,
-                                                 attempt_done);
-                          });
-    }
-  }
-  return NotFound("blob " + id.ToString() + " not resident");
-}
-
-StatusOr<std::vector<std::uint8_t>> BufferManager::Get(const BlobId& id,
-                                                       sim::SimTime now,
-                                                       sim::SimTime* done) {
-  MutexLock lock(mu_);
-  auto result = GetLocked(id, now, done);
-  std::vector<PendingFailure> failures = CollectFailuresLocked();
-  lock.Unlock();
-  NotifyFailures(std::move(failures), now);
-  return result;
-}
-
-StatusOr<std::vector<std::uint8_t>> BufferManager::GetLocked(
-    const BlobId& id, sim::SimTime now, sim::SimTime* done) {
-  for (auto& t : tiers_) {
-    if (t->failed()) continue;
-    if (t->Contains(id)) {
-      return RunWithRetry(retry_, now, done,
-                          [&](double start, double* attempt_done) {
-                            return t->Get(id, start, attempt_done);
-                          });
-    }
-  }
-  return NotFound("blob " + id.ToString() + " not resident");
+  return OnResidentTier(
+      id, now, done, [&](TierStore& t, double start, double* attempt_done) {
+        return t.PutPartial(id, offset, data, start, attempt_done);
+      });
 }
 
 Status BufferManager::GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
                               sim::SimTime now, sim::SimTime* done) {
-  MutexLock lock(mu_);
-  Status result = GetIntoLocked(id, out, now, done);
-  std::vector<PendingFailure> failures = CollectFailuresLocked();
-  lock.Unlock();
-  NotifyFailures(std::move(failures), now);
-  return result;
-}
-
-Status BufferManager::GetIntoLocked(const BlobId& id,
-                                    std::vector<std::uint8_t>* out,
-                                    sim::SimTime now, sim::SimTime* done) {
-  for (auto& t : tiers_) {
-    if (t->failed()) continue;
-    if (t->Contains(id)) {
-      return RunWithRetry(retry_, now, done,
-                          [&](double start, double* attempt_done) {
-                            return t->GetInto(id, out, start, attempt_done);
-                          });
-    }
-  }
-  return NotFound("blob " + id.ToString() + " not resident");
-}
-
-StatusOr<std::vector<std::uint8_t>> BufferManager::GetPartial(
-    const BlobId& id, std::uint64_t offset, std::uint64_t size,
-    sim::SimTime now, sim::SimTime* done) {
-  MutexLock lock(mu_);
-  auto result = GetPartialLocked(id, offset, size, now, done);
-  std::vector<PendingFailure> failures = CollectFailuresLocked();
-  lock.Unlock();
-  NotifyFailures(std::move(failures), now);
-  return result;
-}
-
-StatusOr<std::vector<std::uint8_t>> BufferManager::GetPartialLocked(
-    const BlobId& id, std::uint64_t offset, std::uint64_t size,
-    sim::SimTime now, sim::SimTime* done) {
-  for (auto& t : tiers_) {
-    if (t->failed()) continue;
-    if (t->Contains(id)) {
-      return RunWithRetry(retry_, now, done,
-                          [&](double start, double* attempt_done) {
-                            return t->GetPartial(id, offset, size, start,
-                                                 attempt_done);
-                          });
-    }
-  }
-  return NotFound("blob " + id.ToString() + " not resident");
+  return OnResidentTier(
+      id, now, done, [&](TierStore& t, double start, double* attempt_done) {
+        return t.GetInto(id, out, start, attempt_done);
+      });
 }
 
 std::optional<std::size_t> BufferManager::FindBlob(const BlobId& id) const {

@@ -11,6 +11,14 @@ namespace {
 
 class PosixStager final : public Stager {
  public:
+  Status CheckUri(const Uri& uri) const override {
+    // A flat file has no sub-objects: ignoring the fragment would alias
+    // every `path:fragment` key onto the one file at `path`.
+    if (uri.fragment.empty()) return Status::Ok();
+    return InvalidArgument("posix key '" + uri.ToString() +
+                           "' names a fragment, but a flat file has none");
+  }
+
   StatusOr<std::uint64_t> Size(const Uri& uri) override {
     std::error_code ec;
     auto size = std::filesystem::file_size(uri.path, ec);

@@ -31,6 +31,7 @@ StatusOr<std::pair<Stager*, Uri>> StagerRegistry::Resolve(
     const std::string& key) const {
   MM_ASSIGN_OR_RETURN(Uri uri, ParseUri(key));
   MM_ASSIGN_OR_RETURN(Stager * stager, Get(uri.scheme));
+  MM_RETURN_IF_ERROR(stager->CheckUri(uri));
   return std::make_pair(stager, uri);
 }
 

@@ -103,12 +103,12 @@ TEST_F(BufferManagerTest, GetFindsBlobInAnyTier) {
   ASSERT_TRUE(
       bm_->PutScored(BlobId{1, 1}, Bytes(MEGABYTES(1), 8), 0.95f, 0.0, nullptr)
           .ok());
-  // Blob 0 got demoted; Get must still find it.
-  auto data = bm_->Get(BlobId{1, 0}, 0.0, nullptr);
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ((*data)[0], 7);
-  auto missing = bm_->Get(BlobId{9, 9}, 0.0, nullptr);
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  // Blob 0 got demoted; GetInto must still find it.
+  std::vector<std::uint8_t> data;
+  ASSERT_TRUE(bm_->GetInto(BlobId{1, 0}, &data, 0.0, nullptr).ok());
+  EXPECT_EQ(data[0], 7);
+  EXPECT_EQ(bm_->GetInto(BlobId{9, 9}, &data, 0.0, nullptr).code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(BufferManagerTest, PartialUpdateInPlace) {
@@ -116,9 +116,12 @@ TEST_F(BufferManagerTest, PartialUpdateInPlace) {
       bm_->PutScored(BlobId{1, 0}, Bytes(4096, 0), 0.5f, 0.0, nullptr).ok());
   ASSERT_TRUE(bm_->PutPartial(BlobId{1, 0}, 10, Bytes(5, 0xEE), 0.0, nullptr)
                   .ok());
-  auto frag = bm_->GetPartial(BlobId{1, 0}, 10, 5, 0.0, nullptr);
-  ASSERT_TRUE(frag.ok());
-  EXPECT_EQ((*frag)[0], 0xEE);
+  std::vector<std::uint8_t> page;
+  ASSERT_TRUE(bm_->GetInto(BlobId{1, 0}, &page, 0.0, nullptr).ok());
+  EXPECT_EQ(page[9], 0);
+  EXPECT_EQ(page[10], 0xEE);
+  EXPECT_EQ(page[14], 0xEE);
+  EXPECT_EQ(page[15], 0);
 }
 
 TEST_F(BufferManagerTest, RebalancePromotesHighScoreBlobs) {

@@ -331,10 +331,10 @@ TEST(BufferManagerFaults, RetriesTransientFaultsTransparently) {
     ASSERT_TRUE(bm.PutScored({1, p}, std::vector<std::uint8_t>(4096, 0x11),
                              0.5f, t, &t).ok());
   }
+  std::vector<std::uint8_t> data;
   for (std::uint64_t p = 0; p < 32; ++p) {
-    auto data = bm.Get({1, p}, t, &t);
-    ASSERT_TRUE(data.ok()) << "page " << p;
-    EXPECT_EQ((*data)[0], 0x11);
+    ASSERT_TRUE(bm.GetInto({1, p}, &data, t, &t).ok()) << "page " << p;
+    EXPECT_EQ(data[0], 0x11);
   }
   // The plan injected faults, and every one was absorbed by a retry.
   EXPECT_GT(inj.transient_faults(), 0u);
@@ -363,8 +363,9 @@ TEST(BufferManagerFaults, PermanentFailureDrainsAndReRoutes) {
   inj.FailTier(TierKind::kDram);
   // The next access against the dead tier surfaces kUnavailable, drains the
   // tier, and reports the lost blobs to the handler exactly once.
-  auto miss = bm.Get({1, 0}, 1.0, nullptr);
-  EXPECT_EQ(miss.status().code(), StatusCode::kUnavailable);
+  std::vector<std::uint8_t> miss;
+  EXPECT_EQ(bm.GetInto({1, 0}, &miss, 1.0, nullptr).code(),
+            StatusCode::kUnavailable);
   ASSERT_EQ(reported.size(), 1u);
   EXPECT_EQ(reported[0], (storage::BlobId{1, 0}));
   EXPECT_EQ(reported_kind, TierKind::kDram);
@@ -375,7 +376,7 @@ TEST(BufferManagerFaults, PermanentFailureDrainsAndReRoutes) {
   ASSERT_TRUE(t1.ok());
   EXPECT_EQ(*t1, 1u);  // NVMe
   reported.clear();
-  (void)bm.Get({1, 9}, 3.0, nullptr);  // dead tier is not re-reported
+  (void)bm.GetInto({1, 9}, &miss, 3.0, nullptr);  // dead tier not re-reported
   EXPECT_TRUE(reported.empty());
 }
 

@@ -240,6 +240,149 @@ TEST_F(ServiceTest, ShutdownVsInflightSubmitFulfillsEveryPromise) {
   EXPECT_EQ(resolved.load(), kSubmitters * kPerThread);
 }
 
+// ---- commit branches: in place, materialized, written through ----
+
+class CommitPathTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kPage = 4096;
+
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mm_commit_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::create_directories(dir_);
+    cluster_ = sim::Cluster::PaperTestbed(1);
+  }
+  void TearDown() override {
+    svc_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// One node whose only scache tier is `scache_bytes` of DRAM.
+  void Start(std::uint64_t scache_bytes, bool with_ckpt) {
+    ServiceOptions so;
+    so.tier_grants = {{sim::TierKind::kDram, scache_bytes}};
+    if (with_ckpt) so.ckpt.dir = (dir_ / "ckpt").string();
+    svc_ = std::make_unique<Service>(cluster_.get(), so);
+  }
+
+  VectorMeta* Register(bool nonvolatile) {
+    VectorOptions vo;
+    vo.page_size = kPage;
+    vo.nonvolatile = nonvolatile;
+    auto meta = svc_->RegisterVector(
+        "posix://" + (dir_ / "v.bin").string(), 1, vo, 2 * kPage);
+    EXPECT_TRUE(meta.ok()) << meta.status().ToString();
+    return meta.ok() ? *meta : nullptr;
+  }
+
+  storage::BlobLocation Entry(VectorMeta& meta, std::uint64_t page) {
+    auto loc = svc_->metadata().Lookup({meta.vector_id, page}, 0, 0.0,
+                                       nullptr);
+    EXPECT_TRUE(loc.ok());
+    return loc.ok() ? *loc : storage::BlobLocation{};
+  }
+
+  std::filesystem::path dir_;
+  std::unique_ptr<sim::Cluster> cluster_;
+  std::unique_ptr<Service> svc_;
+};
+
+TEST_F(CommitPathTest, FullScacheWritesNonvolatilePageThrough) {
+  Start(/*scache_bytes=*/1024, /*with_ckpt=*/true);  // smaller than a page
+  VectorMeta* meta = Register(/*nonvolatile=*/true);
+  ASSERT_NE(meta, nullptr);
+  std::vector<std::uint8_t> bytes(100, 0x5A);
+  TaskOutcome out = svc_->WriteRegion(*meta, 1, 50, bytes, 0, 0.0).get();
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  EXPECT_EQ(out.version, 1u);
+  // A clean kPfs entry at the committed version, carrying the page CRC.
+  storage::BlobLocation loc = Entry(*meta, 1);
+  EXPECT_EQ(loc.tier, sim::TierKind::kPfs);
+  EXPECT_FALSE(loc.dirty);
+  EXPECT_EQ(loc.version, 1u);
+  std::vector<std::uint8_t> expected(kPage, 0);
+  std::copy(bytes.begin(), bytes.end(), expected.begin() + 50);
+  EXPECT_EQ(loc.crc, Crc32(expected));
+  // The write-through is the page's only durable copy: it is journaled
+  // under the committed version.
+  auto rec = svc_->journal(loc.node)->Latest({meta->vector_id, 1});
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->version, 1u);
+  EXPECT_EQ(rec->page_crc, loc.crc);
+  EXPECT_EQ(rec->offset, kPage);
+  EXPECT_EQ(rec->payload, expected);
+  // A later fault stages the page in and verifies it against that CRC.
+  auto page = svc_->ReadPage(*meta, 1, 0, out.done, nullptr);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  EXPECT_EQ(*page, expected);
+  // Verified, not trusted: a backend page that no longer matches the
+  // recorded CRC is typed data loss.
+  {
+    std::fstream f(dir_ / "v.bin",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(kPage + 60));
+    f.put(static_cast<char>(0x00));
+  }
+  auto torn = svc_->ReadPage(*meta, 1, 0, out.done, nullptr);
+  EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(CommitPathTest, FullScacheFailsVolatileCommitWithThePutStatus) {
+  Start(/*scache_bytes=*/1024, /*with_ckpt=*/false);
+  VectorMeta* meta = Register(/*nonvolatile=*/false);
+  ASSERT_NE(meta, nullptr);
+  std::vector<std::uint8_t> bytes(100, 0x5A);
+  TaskOutcome out = svc_->WriteRegion(*meta, 0, 0, bytes, 0, 0.0).get();
+  EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted)
+      << out.status.ToString();
+  EXPECT_FALSE(
+      svc_->metadata().Lookup({meta->vector_id, 0}, 0, 0.0, nullptr).ok());
+}
+
+TEST_F(CommitPathTest, InPlaceAndMaterializedCommitsBumpTheVersionAlike) {
+  Start(/*scache_bytes=*/MEGABYTES(1), /*with_ckpt=*/false);
+  VectorMeta* meta = Register(/*nonvolatile=*/true);
+  ASSERT_NE(meta, nullptr);
+  storage::BlobId id{meta->vector_id, 0};
+  std::vector<std::uint8_t> a(10, 0xA1), b(10, 0xB2), c(10, 0xC3);
+  // 1: materialized (nothing resident yet).
+  TaskOutcome o1 = svc_->WriteRegion(*meta, 0, 0, a, 0, 0.0).get();
+  ASSERT_TRUE(o1.status.ok());
+  EXPECT_EQ(o1.version, 1u);
+  EXPECT_EQ(o1.prev_version, ~0ULL);
+  // 2: in place on the resident page.
+  TaskOutcome o2 = svc_->WriteRegion(*meta, 0, 100, b, 0, o1.done).get();
+  ASSERT_TRUE(o2.status.ok());
+  EXPECT_EQ(o2.version, 2u);
+  EXPECT_EQ(o2.prev_version, 1u);
+  storage::BlobLocation in_place = Entry(*meta, 0);
+  // Stage out, then drop the resident bytes: the next commit materializes
+  // the page from the backend.
+  ASSERT_TRUE(svc_->FlushVector(*meta, 0, o2.done, nullptr).ok());
+  std::size_t owner = Entry(*meta, 0).node;
+  ASSERT_TRUE(svc_->runtime(owner).buffer().Erase(id).ok());
+  // 3: materialized over the staged page.
+  TaskOutcome o3 = svc_->WriteRegion(*meta, 0, 200, c, 0, o2.done).get();
+  ASSERT_TRUE(o3.status.ok());
+  EXPECT_EQ(o3.version, 3u);
+  storage::BlobLocation materialized = Entry(*meta, 0);
+  for (const storage::BlobLocation* loc : {&in_place, &materialized}) {
+    EXPECT_TRUE(loc->dirty);
+    EXPECT_NE(loc->crc, 0u);
+    EXPECT_EQ(loc->tier, sim::TierKind::kDram);
+  }
+  EXPECT_EQ(in_place.version, 2u);
+  EXPECT_EQ(materialized.version, 3u);
+  auto page = svc_->ReadPage(*meta, 0, 0, o3.done, nullptr);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ((*page)[0], 0xA1);
+  EXPECT_EQ((*page)[100], 0xB2);
+  EXPECT_EQ((*page)[200], 0xC3);
+  EXPECT_EQ(materialized.crc, Crc32(*page));
+}
+
 // ---- ServiceOptions::FromYaml ----
 
 TEST(ServiceOptionsYaml, ParsesFullConfig) {

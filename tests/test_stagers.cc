@@ -8,6 +8,7 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "mm/core/service.h"
 #include "mm/storage/stager.h"
 #include "mm/util/rng.h"
 
@@ -353,6 +354,33 @@ TEST_F(StagerTest, RegistryDefaultsBareKeysToPosix) {
   auto resolved = reg.Resolve((dir_ / "plain.bin").string());
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(resolved->second.scheme, "posix");
+}
+
+TEST_F(StagerTest, PosixKeyWithFragmentIsRejected) {
+  // A flat file has no datasets: `f.bin:u0` and `f.bin:v0` would silently
+  // share one file. The key is refused instead, for every posix spelling.
+  const std::string file = (dir_ / "f.bin").string();
+  auto& reg = StagerRegistry::Default();
+  for (const std::string& key :
+       {"posix://" + file + ":u0", "file://" + file + ":u0", file + ":u0"}) {
+    EXPECT_EQ(reg.Resolve(key).status().code(), StatusCode::kInvalidArgument)
+        << key;
+  }
+  auto cluster = sim::Cluster::PaperTestbed(1);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(1)}};
+  core::Service svc(cluster.get(), so);
+  core::VectorOptions vo;
+  vo.nonvolatile = true;
+  auto u = svc.RegisterVector("posix://" + file + ":u0", 8, vo, 16);
+  EXPECT_EQ(u.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(file));
+  // The plain key, and fragments on a backend with sub-objects, still bind.
+  EXPECT_TRUE(svc.RegisterVector("posix://" + file, 8, vo, 16).ok());
+  EXPECT_TRUE(
+      svc.RegisterVector("shdf://" + (dir_ / "g.h5").string() + ":u0", 8, vo,
+                         16)
+          .ok());
 }
 
 // ---------- error paths (fault-tolerance PR) ----------
