@@ -7,17 +7,19 @@
 // sub-communicators (Split) behave like MPI_Comm_split — DBSCAN and Random
 // Forest use them to recurse over left/right partitions.
 //
-// Failure handling (DESIGN.md §13): the blocking Recv*/collective calls
-// assume immortal peers and abort (MM_CHECK) if a peer dies mid-wait. The
-// *Or variants are deadline-bounded: they return kPeerDead once the failure
-// detector declares an expected peer dead (charging the detection latency
-// to the virtual clock) and propagate the verdict through the binomial
-// trees as poison envelopes so no rank ever hangs. After a kPeerDead
-// verdict, survivors call Revoke() + ShrinkAfterFailure() (or
+// Failure handling (DESIGN.md §13): the blocking Recv* and plain
+// collective calls assume immortal peers and abort (MM_CHECK) if a peer dies
+// mid-wait. RecvBytesOr/RecvOr/RecvValueOr, AllReduceOr and BarrierOr are
+// deadline-bounded: they return kPeerDead once the failure detector
+// declares an expected peer dead (charging the detection latency to the
+// virtual clock). Every collective propagates the verdict through its tree
+// as poison envelopes, so no rank ever hangs. After a kPeerDead verdict,
+// survivors call Revoke() + ShrinkAfterFailure() (or
 // ckpt::CollectiveRecover) to fence the dead and continue on a shrunk
 // communicator.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -124,8 +126,18 @@ class Communicator {
   }
 
   // ---- collectives ----
+  //
+  // Each collective has one implementation: a binomial tree (or a root
+  // fan-out/fan-in) whose messages carry a one-byte verdict header. A rank
+  // whose parent or subtree failed still forwards a poison envelope to its
+  // children, so the tree always unwinds and nobody hangs. The plain forms
+  // abort (MM_CHECK) on a kPeerDead verdict; AllReduceOr and BarrierOr
+  // return it, with the data partial or garbage, so the caller can run
+  // recovery and redo the collective on the shrunk communicator.
 
-  /// Synchronizes all communicator members and their virtual clocks.
+  /// Synchronizes all communicator members and their virtual clocks. On
+  /// the world communicator a rank death releases the survivors; on a
+  /// sub-group it aborts.
   void Barrier();
 
   /// Death-aware barrier: synchronizes the *live* members and returns
@@ -143,16 +155,34 @@ class Communicator {
 
   /// Binomial-tree broadcast from `root` (communicator-local index).
   template <typename T>
-  void Bcast(std::vector<T>& data, int root);
+  void Bcast(std::vector<T>& data, int root) {
+    CheckCollective(BcastTree(data, root, StatusCode::kOk));
+  }
 
   /// Tree reduction of per-rank vectors with `op` applied elementwise;
   /// result is valid on `root` only.
   template <typename T, typename Op>
-  void Reduce(std::vector<T>& data, int root, Op op);
+  void Reduce(std::vector<T>& data, int root, Op op) {
+    CheckCollective(ReduceTree(data, root, op));
+  }
 
   /// Reduce + Bcast.
   template <typename T, typename Op>
-  void AllReduce(std::vector<T>& data, Op op);
+  void AllReduce(std::vector<T>& data, Op op) {
+    CheckCollective(AllReduceOr(data, op));
+  }
+
+  /// Death-aware AllReduce: kPeerDead on every survivor when a member died
+  /// mid-collective.
+  template <typename T, typename Op>
+  [[nodiscard]] Status AllReduceOr(std::vector<T>& data, Op op) {
+    Status rs = ReduceTree(data, /*root=*/0, op);
+    // The root seeds the broadcast with the reduction's verdict so every
+    // survivor learns the collective failed, not just the root.
+    Status bs = BcastTree(data, /*root=*/0,
+                          my_index_ == 0 ? rs.code() : StatusCode::kOk);
+    return !rs.ok() ? rs : bs;
+  }
 
   /// Gathers variable-length vectors to `root`; result on root is indexed by
   /// communicator-local rank.
@@ -166,45 +196,6 @@ class Communicator {
   /// Scatters `parts[i]` from root to rank i.
   template <typename T>
   std::vector<T> ScatterV(const std::vector<std::vector<T>>& parts, int root);
-
-  // ---- death-aware collectives (poison-envelope trees) ----
-  //
-  // Each message carries a one-byte verdict header. A rank whose parent or
-  // subtree failed still forwards a poison envelope to its children, so the
-  // tree always unwinds: every rank returns (Ok or kPeerDead), nobody
-  // hangs. On kPeerDead the data is partial/garbage; run recovery and redo
-  // the collective on the shrunk communicator.
-
-  template <typename T>
-  [[nodiscard]] Status BcastOr(std::vector<T>& data, int root) {
-    return BcastEnvelope(data, root, StatusCode::kOk);
-  }
-
-  template <typename T, typename Op>
-  [[nodiscard]] Status ReduceOr(std::vector<T>& data, int root, Op op);
-
-  template <typename T, typename Op>
-  [[nodiscard]] Status AllReduceOr(std::vector<T>& data, Op op) {
-    Status rs = ReduceOr(data, /*root=*/0, op);
-    // The root seeds the broadcast with the reduction's verdict so every
-    // survivor learns the collective failed, not just the root.
-    Status bs = BcastEnvelope(
-        data, /*root=*/0, my_index_ == 0 ? rs.code() : StatusCode::kOk);
-    return !rs.ok() ? rs : bs;
-  }
-
-  /// Gathers to `root` into `*all` (indexed by communicator rank; dead
-  /// members leave empty slots). Non-root ranks only contribute and always
-  /// return Ok unless they themselves are cancelled.
-  template <typename T>
-  [[nodiscard]] Status GatherVOr(const std::vector<T>& mine, int root,
-                                 std::vector<std::vector<T>>* all);
-
-  /// Scatters `parts[i]` from root into `*mine`; kPeerDead when the root
-  /// died before serving this rank.
-  template <typename T>
-  [[nodiscard]] Status ScatterVOr(const std::vector<std::vector<T>>& parts,
-                                  int root, std::vector<T>* mine);
 
   /// Creates a sub-communicator: ranks sharing `color` form a group ordered
   /// by current rank. Collective over this communicator.
@@ -232,11 +223,12 @@ class Communicator {
   StatusOr<Communicator> ShrinkAfterFailure();
 
  private:
-  /// Verdict + payload of one death-aware tree message.
+  /// One collective message as received: the verdict byte, then the
+  /// payload.
   struct Envelope {
-    StatusCode code = StatusCode::kOk;
-    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> bytes;
     int src_world = -1;
+    StatusCode code() const { return static_cast<StatusCode>(bytes[0]); }
   };
 
   int TagFor(int user_tag) const {
@@ -257,11 +249,23 @@ class Communicator {
   StatusOr<std::vector<std::uint8_t>> RecvBytesMatch(
       const std::vector<int>& srcs_world, int wire_tag, int* actual_src_world);
 
-  /// Envelope plumbing for the death-aware trees (dst/pending are
-  /// communicator-local indices).
+  /// SendBytes over an already-built payload, which becomes the message.
+  void SendMessage(int dst, int tag, std::vector<std::uint8_t> payload);
+
+  /// Shared barrier body: the World barrier on the world communicator, an
+  /// empty tree all-reduce on a sub-group.
+  Status SyncMembers();
+
+  static void CheckCollective(const Status& st) {
+    MM_CHECK_MSG(st.ok(), st.ToString());
+  }
+
+  /// Envelope plumbing for the collectives (dst/pending are
+  /// communicator-local indices). The verdict byte and the payload are
+  /// copied into the message once.
   void SendEnvelope(int dst, int tag, StatusCode code, const void* data,
                     std::size_t size);
-  StatusOr<Envelope> RecvEnvelopeFrom(const std::vector<int>& pending, int tag);
+  StatusOr<Envelope> RecvEnvelope(const std::vector<int>& pending, int tag);
 
   template <typename T>
   void SendEnvelopeVec(int dst, int tag, StatusCode code,
@@ -270,24 +274,38 @@ class Communicator {
     SendEnvelope(dst, tag, code, data.data(), data.size() * sizeof(T));
   }
 
+  /// Copies the payload straight from the received bytes into `*out`,
+  /// whatever the verdict; kDataLoss when it is not whole elements.
   template <typename T>
-  static Status DecodeEnvelope(const Envelope& env, std::vector<T>* out) {
-    if (env.code != StatusCode::kOk) {
-      return PeerDead("poisoned subtree: " +
-                      std::string(StatusCodeName(env.code)));
-    }
-    if (env.payload.size() % sizeof(T) != 0) {
+  static Status DecodePayload(const Envelope& env, std::vector<T>* out) {
+    const std::size_t size = env.bytes.size() - 1;
+    if (size % sizeof(T) != 0) {
       return DataLoss("malformed envelope payload");
     }
-    out->resize(env.payload.size() / sizeof(T));
-    std::memcpy(out->data(), env.payload.data(), env.payload.size());
+    out->resize(size / sizeof(T));
+    if (size > 0) std::memcpy(out->data(), env.bytes.data() + 1, size);
     return Status::Ok();
+  }
+
+  /// DecodePayload of an Ok envelope; kPeerDead for a poisoned one.
+  template <typename T>
+  static Status DecodeEnvelope(const Envelope& env, std::vector<T>* out) {
+    if (env.code() != StatusCode::kOk) {
+      return PeerDead("poisoned subtree: " +
+                      std::string(StatusCodeName(env.code())));
+    }
+    return DecodePayload(env, out);
   }
 
   /// Binomial-tree broadcast of (verdict, data); `seed` lets the root
   /// originate a poison verdict (AllReduceOr).
   template <typename T>
-  Status BcastEnvelope(std::vector<T>& data, int root, StatusCode seed);
+  Status BcastTree(std::vector<T>& data, int root, StatusCode seed);
+
+  /// Binomial-tree fan-in; each partial aggregate carries its subtree's
+  /// verdict so a poisoned subtree is visible at the root.
+  template <typename T, typename Op>
+  Status ReduceTree(std::vector<T>& data, int root, Op op);
 
   RankContext* ctx_;
   std::vector<int> group_;   // communicator index -> world rank
@@ -301,81 +319,32 @@ class Communicator {
 // ---- template implementations ----
 
 template <typename T>
-void Communicator::Bcast(std::vector<T>& data, int root) {
-  // Binomial tree rooted at `root`. In relative ranks, a nonzero rank
-  // receives from its parent (lowest set bit cleared) and then forwards to
-  // rel + 2^j for j below its lowest set bit.
-  int n = size();
-  if (n == 1) return;
-  int rel = (my_index_ - root + n) % n;
-  constexpr int kTag = 0x1B;
-  int rounds = 0;
-  while ((1 << rounds) < n) ++rounds;
-  int start_j;
-  if (rel != 0) {
-    int low = __builtin_ctz(static_cast<unsigned>(rel));
-    int parent_rel = rel & (rel - 1);
-    data = Recv<T>((parent_rel + root) % n, kTag);
-    start_j = low - 1;
-  } else {
-    start_j = rounds - 1;
-  }
-  for (int j = start_j; j >= 0; --j) {
-    int child_rel = rel + (1 << j);
-    if (child_rel < n) {
-      Send<T>((child_rel + root) % n, kTag, data);
-    }
-  }
-}
-
-template <typename T, typename Op>
-void Communicator::Reduce(std::vector<T>& data, int root, Op op) {
-  int n = size();
-  if (n == 1) return;
-  int rel = (my_index_ - root + n) % n;
-  constexpr int kTag = 0x2C;
-  // Binomial-tree fan-in: at round k, ranks with bit k set send to rel-2^k.
-  for (int k = 0; (1 << k) < n; ++k) {
-    if (rel & (1 << k)) {
-      Send<T>(((rel ^ (1 << k)) + root) % n, kTag, data);
-      return;  // contributed and done
-    }
-    int peer_rel = rel | (1 << k);
-    if (peer_rel < n) {
-      auto theirs = Recv<T>((peer_rel + root) % n, kTag);
-      MM_CHECK(theirs.size() == data.size());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = op(data[i], theirs[i]);
-      }
-    }
-  }
-}
-
-template <typename T, typename Op>
-void Communicator::AllReduce(std::vector<T>& data, Op op) {
-  Reduce(data, /*root=*/0, op);
-  Bcast(data, /*root=*/0);
-}
-
-template <typename T>
 std::vector<std::vector<T>> Communicator::GatherV(const std::vector<T>& mine,
                                                   int root) {
   int n = size();
   constexpr int kTag = 0x3D;
   std::vector<std::vector<T>> all;
-  if (my_index_ == root) {
-    all.resize(n);
-    all[root] = mine;
-    for (int i = 0; i < n - 1; ++i) {
-      int src = kAnySource;
-      auto payload = Recv<T>(src, kTag, &src);
-      // Map the world rank back to its communicator index.
-      int idx = world_to_index_[src];
-      MM_CHECK(idx >= 0);
-      all[idx] = std::move(payload);
-    }
-  } else {
-    Send<T>(root, kTag, mine);
+  if (my_index_ != root) {
+    SendEnvelopeVec(root, kTag, StatusCode::kOk, mine);
+    return all;
+  }
+  all.resize(static_cast<std::size_t>(n));
+  all[root] = mine;
+  std::vector<int> pending;
+  pending.reserve(static_cast<std::size_t>(n) - 1);
+  for (int i = 0; i < n; ++i) {
+    if (i != root) pending.push_back(i);
+  }
+  // Waiting on the members not yet heard from (not on any source) keeps a
+  // fast member's next contribution out of this gather, and turns a dead
+  // member into an abort rather than a hang.
+  while (!pending.empty()) {
+    auto env = RecvEnvelope(pending, kTag);
+    CheckCollective(env.status());
+    int idx = world_to_index_[env->src_world];
+    MM_CHECK(idx >= 0);
+    CheckCollective(DecodeEnvelope(*env, &all[idx]));
+    pending.erase(std::find(pending.begin(), pending.end(), idx));
   }
   return all;
 }
@@ -401,22 +370,29 @@ std::vector<T> Communicator::ScatterV(const std::vector<std::vector<T>>& parts,
   if (my_index_ == root) {
     MM_CHECK(static_cast<int>(parts.size()) == n);
     for (int i = 0; i < n; ++i) {
-      if (i != root) Send<T>(i, kTag, parts[i]);
+      if (i != root) SendEnvelopeVec(i, kTag, StatusCode::kOk, parts[i]);
     }
     return parts[root];
   }
-  return Recv<T>(root, kTag);
+  auto env = RecvEnvelope({root}, kTag);
+  CheckCollective(env.status());
+  std::vector<T> mine;
+  CheckCollective(DecodeEnvelope(*env, &mine));
+  return mine;
 }
 
 template <typename T>
-Status Communicator::BcastEnvelope(std::vector<T>& data, int root,
-                                   StatusCode seed) {
+Status Communicator::BcastTree(std::vector<T>& data, int root,
+                               StatusCode seed) {
+  // Binomial tree rooted at `root`. In relative ranks, a nonzero rank
+  // receives from its parent (lowest set bit cleared) and then forwards to
+  // rel + 2^j for j below its lowest set bit.
   int n = size();
   if (n == 1) return seed == StatusCode::kOk
                          ? Status::Ok()
                          : PeerDead("collective poisoned at root");
   int rel = (my_index_ - root + n) % n;
-  constexpr int kTag = 0x5B;
+  constexpr int kTag = 0x1B;
   int rounds = 0;
   while ((1 << rounds) < n) ++rounds;
   Status st = Status::Ok();
@@ -424,7 +400,7 @@ Status Communicator::BcastEnvelope(std::vector<T>& data, int root,
   if (rel != 0) {
     int low = __builtin_ctz(static_cast<unsigned>(rel));
     int parent_rel = rel & (rel - 1);
-    auto env = RecvEnvelopeFrom({(parent_rel + root) % n}, kTag);
+    auto env = RecvEnvelope({(parent_rel + root) % n}, kTag);
     if (!env.ok()) {
       st = env.status();  // parent dead: this subtree is poisoned
     } else {
@@ -454,12 +430,13 @@ Status Communicator::BcastEnvelope(std::vector<T>& data, int root,
 }
 
 template <typename T, typename Op>
-Status Communicator::ReduceOr(std::vector<T>& data, int root, Op op) {
+Status Communicator::ReduceTree(std::vector<T>& data, int root, Op op) {
   int n = size();
   if (n == 1) return Status::Ok();
   int rel = (my_index_ - root + n) % n;
-  constexpr int kTag = 0x6C;
+  constexpr int kTag = 0x2C;
   Status st = Status::Ok();
+  // Binomial-tree fan-in: at round k, ranks with bit k set send to rel-2^k.
   for (int k = 0; (1 << k) < n; ++k) {
     if (rel & (1 << k)) {
       // Contribute upward, tagging the partial aggregate with our verdict
@@ -469,18 +446,16 @@ Status Communicator::ReduceOr(std::vector<T>& data, int root, Op op) {
     }
     int peer_rel = rel | (1 << k);
     if (peer_rel < n) {
-      auto env = RecvEnvelopeFrom({(peer_rel + root) % n}, kTag);
+      auto env = RecvEnvelope({(peer_rel + root) % n}, kTag);
       if (!env.ok()) {
         st = env.status();  // peer died: its whole subtree is missing
         continue;
       }
-      if (env->code != StatusCode::kOk) {
+      if (env->code() != StatusCode::kOk) {
         st = PeerDead("poisoned subtree contribution");
       }
       std::vector<T> theirs;
-      Status decode = DecodeEnvelope(
-          Envelope{StatusCode::kOk, std::move(env->payload), env->src_world},
-          &theirs);
+      Status decode = DecodePayload(*env, &theirs);
       if (!decode.ok() || theirs.size() != data.size()) {
         st = !decode.ok() ? decode : PeerDead("partial subtree contribution");
         continue;
@@ -491,57 +466,6 @@ Status Communicator::ReduceOr(std::vector<T>& data, int root, Op op) {
     }
   }
   return st;
-}
-
-template <typename T>
-Status Communicator::GatherVOr(const std::vector<T>& mine, int root,
-                               std::vector<std::vector<T>>* all) {
-  int n = size();
-  constexpr int kTag = 0x7D;
-  if (my_index_ != root) {
-    SendEnvelopeVec(root, kTag, StatusCode::kOk, mine);
-    return Status::Ok();
-  }
-  all->assign(static_cast<std::size_t>(n), {});
-  (*all)[root] = mine;
-  std::vector<int> pending;
-  pending.reserve(static_cast<std::size_t>(n) - 1);
-  for (int i = 0; i < n; ++i) {
-    if (i != root) pending.push_back(i);
-  }
-  Status st = Status::Ok();
-  while (!pending.empty()) {
-    auto env = RecvEnvelopeFrom(pending, kTag);
-    if (!env.ok()) {
-      // Every remaining contributor is dead; their slots stay empty.
-      st = env.status();
-      break;
-    }
-    int idx = world_to_index_[env->src_world];
-    MM_CHECK(idx >= 0);
-    Status decode = DecodeEnvelope(*env, &(*all)[idx]);
-    if (!decode.ok()) st = decode;
-    pending.erase(std::find(pending.begin(), pending.end(), idx));
-  }
-  return st;
-}
-
-template <typename T>
-Status Communicator::ScatterVOr(const std::vector<std::vector<T>>& parts,
-                                int root, std::vector<T>* mine) {
-  constexpr int kTag = 0x8E;
-  int n = size();
-  if (my_index_ == root) {
-    MM_CHECK(static_cast<int>(parts.size()) == n);
-    for (int i = 0; i < n; ++i) {
-      if (i != root) SendEnvelopeVec(i, kTag, StatusCode::kOk, parts[i]);
-    }
-    *mine = parts[root];
-    return Status::Ok();
-  }
-  auto env = RecvEnvelopeFrom({root}, kTag);
-  if (!env.ok()) return env.status();
-  return DecodeEnvelope(*env, mine);
 }
 
 }  // namespace mm::comm

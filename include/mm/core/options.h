@@ -108,10 +108,6 @@ struct ServiceOptions {
   /// kGetPage worker task on conflict, miss, or ineligible mode. The
   /// readpath bench flips this off to measure the queue path.
   bool enable_optimistic_reads = true;
-  /// Verify per-page CRC-32 on reads that already pay a metadata lookup;
-  /// mismatches on clean pages self-heal from the backend, mismatches on
-  /// dirty pages surface as kDataLoss.
-  bool verify_checksums = true;
 
   /// Retry/backoff applied to tier and stager I/O (backoff lands on the
   /// virtual clock).

@@ -49,6 +49,12 @@ void Communicator::CheckAlive() {
 
 void Communicator::SendBytes(int dst, int tag, const void* data,
                              std::size_t size) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  SendMessage(dst, tag, std::vector<std::uint8_t>(bytes, bytes + size));
+}
+
+void Communicator::SendMessage(int dst, int tag,
+                               std::vector<std::uint8_t> payload) {
   MM_CHECK(dst >= 0 && dst < this->size());
   CheckAlive();
   World& world = ctx_->world();
@@ -58,7 +64,7 @@ void Communicator::SendBytes(int dst, int tag, const void* data,
   const sim::SimTime send_start = ctx_->clock().now();
   auto res = world.cluster().network().Transfer(
       send_start, world.NodeOfRank(src_world), world.NodeOfRank(dst_world),
-      size, &outcome);
+      payload.size(), &outcome);
   // MPI_Send semantics: the sender resumes once its buffer is reusable,
   // i.e. when egress serialization completes.
   ctx_->clock().AdvanceTo(res.egress_done);
@@ -80,8 +86,7 @@ void Communicator::SendBytes(int dst, int tag, const void* data,
   msg.src = src_world;
   msg.tag = TagFor(tag);
   msg.seq = world.NextSeq(src_world, dst_world);
-  msg.payload.assign(static_cast<const std::uint8_t*>(data),
-                     static_cast<const std::uint8_t*>(data) + size);
+  msg.payload = std::move(payload);
   msg.delivered = res.delivered;
   msg.trace_id = mctx.trace_id;
   msg.parent_span = mctx.parent_span;
@@ -182,13 +187,15 @@ std::vector<std::uint8_t> Communicator::RecvBytes(int src, int tag,
 
 void Communicator::SendEnvelope(int dst, int tag, StatusCode code,
                                 const void* data, std::size_t size) {
-  std::vector<std::uint8_t> buf(size + 1);
-  buf[0] = static_cast<std::uint8_t>(code);
-  if (size > 0) std::memcpy(buf.data() + 1, data, size);
-  SendBytes(dst, tag, buf.data(), buf.size());
+  std::vector<std::uint8_t> buf;
+  buf.reserve(size + 1);
+  buf.push_back(static_cast<std::uint8_t>(code));
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  buf.insert(buf.end(), bytes, bytes + size);
+  SendMessage(dst, tag, std::move(buf));
 }
 
-StatusOr<Communicator::Envelope> Communicator::RecvEnvelopeFrom(
+StatusOr<Communicator::Envelope> Communicator::RecvEnvelope(
     const std::vector<int>& pending, int tag) {
   std::vector<int> srcs;
   srcs.reserve(pending.size());
@@ -196,46 +203,36 @@ StatusOr<Communicator::Envelope> Communicator::RecvEnvelopeFrom(
     MM_CHECK(idx >= 0 && idx < this->size());
     srcs.push_back(group_[idx]);
   }
-  int src_world = -1;
-  auto bytes = RecvBytesMatch(srcs, TagFor(tag), &src_world);
+  Envelope env;
+  auto bytes = RecvBytesMatch(srcs, TagFor(tag), &env.src_world);
   if (!bytes.ok()) return bytes.status();
   if (bytes->empty()) return DataLoss("envelope missing verdict header");
-  Envelope env;
-  env.code = static_cast<StatusCode>((*bytes)[0]);
-  env.payload.assign(bytes->begin() + 1, bytes->end());
-  env.src_world = src_world;
+  env.bytes = std::move(bytes).value();
   return env;
 }
 
-void Communicator::Barrier() {
+Status Communicator::SyncMembers() {
   World& world = ctx_->world();
   if (static_cast<int>(group_.size()) == world.num_ranks()) {
     sim::SimTime release = world.Barrier(ctx_->rank(), ctx_->clock().now());
     ctx_->clock().AdvanceTo(release);
-    return;
+    return Status::Ok();
   }
   // Group barrier: an empty tree all-reduce carries the clock semantics
   // (every member ends at >= the max arrival time).
   std::vector<std::uint8_t> token(1, 0);
-  AllReduce(token, [](std::uint8_t a, std::uint8_t b) {
+  return AllReduceOr(token, [](std::uint8_t a, std::uint8_t b) {
     return static_cast<std::uint8_t>(a | b);
   });
 }
 
+void Communicator::Barrier() { CheckCollective(SyncMembers()); }
+
 Status Communicator::BarrierOr() {
-  World& world = ctx_->world();
-  if (static_cast<int>(group_.size()) == world.num_ranks()) {
-    sim::SimTime release = world.Barrier(ctx_->rank(), ctx_->clock().now());
-    ctx_->clock().AdvanceTo(release);
-  } else {
-    std::vector<std::uint8_t> token(1, 0);
-    MM_RETURN_IF_ERROR(
-        AllReduceOr(token, [](std::uint8_t a, std::uint8_t b) {
-          return static_cast<std::uint8_t>(a | b);
-        }));
-  }
+  MM_RETURN_IF_ERROR(SyncMembers());
   // The barrier released over the live members; surface any death in this
   // group so the caller runs recovery before trusting collective results.
+  World& world = ctx_->world();
   for (int r : group_) {
     if (world.RankDead(r)) {
       return PeerDead("rank " + std::to_string(r) + " dead at barrier");

@@ -32,8 +32,6 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
         runtime.GetBool("enable_organizer", opts.enable_organizer);
     opts.enable_optimistic_reads = runtime.GetBool(
         "enable_optimistic_reads", opts.enable_optimistic_reads);
-    opts.verify_checksums =
-        runtime.GetBool("verify_checksums", opts.verify_checksums);
     std::string policy = runtime.GetString("recovery_policy", "");
     if (policy == "rehome") {
       opts.recovery_policy = RecoveryPolicy::kRehome;

@@ -497,7 +497,7 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   // residency hint and the committed full-page CRC: verify the staged-in
   // bytes against it, so a torn or stale backend page surfaces as typed
   // data loss instead of silently serving wrong bytes (DESIGN.md §12).
-  if (options_.verify_checksums && meta->stager != nullptr && prev.ok() &&
+  if (meta->stager != nullptr && prev.ok() &&
       prev->tier == sim::TierKind::kPfs && !prev->dirty && prev->crc != 0 &&
       crc != prev->crc) {
     service_->RecordDataLoss(task.id, node_id_, out.done);
@@ -510,16 +510,17 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   }
   // Cache the page locally, keeping an existing version (e.g. a page
   // written through to the backend). A full scache is not an error for
-  // reads: the page is served through without caching.
+  // reads: the page is served through without caching, still at that
+  // version.
   storage::BlobLocation loc;
   loc.size = out.data.size();
   loc.score = task.score;
   loc.score_node = task.from_node;
   loc.version = prev.ok() ? prev->version : 0;
   loc.crc = crc;
+  out.version = loc.version;
   sim::SimTime put_done = out.done;
   if (PlacePage(task.id, out.data, &loc, out.done, &put_done).ok()) {
-    out.version = loc.version;
     out.done = put_done;
   }
   return out;
@@ -1519,8 +1520,8 @@ Status Service::ReadValidated(VectorMeta& meta, const storage::BlobId& id,
     MM_RETURN_IF_ERROR(
         runtime(source).buffer().GetInto(id, dst, copied, &copied));
     t = std::max(looked, copied);
-    const bool crc_ok = !src.loc.has_value() || !options_.verify_checksums ||
-                        src.loc->crc == 0 || Crc32(*dst) == src.loc->crc;
+    const bool crc_ok = !src.loc.has_value() || src.loc->crc == 0 ||
+                        Crc32(*dst) == src.loc->crc;
     if (!crc_ok || policy == ReadPolicy::kOptimistic) {
       // v2: a changed entry means a commit landed since v1 and the copy
       // may mix versions; an unchanged one makes a CRC mismatch corruption.

@@ -1,7 +1,9 @@
 // Parameterized tests for tree collectives across communicator sizes,
-// including non-powers-of-two and sub-communicators.
+// including non-powers-of-two and sub-communicators: results, message
+// counts (the tree shapes) and a member's death inside a sub-communicator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 
 #include "mm/comm/communicator.h"
@@ -12,8 +14,10 @@ namespace {
 
 class CollectiveTest : public ::testing::TestWithParam<int> {
  protected:
-  /// Runs `body` on GetParam() ranks spread over ceil(n/4) nodes.
-  void Run(const std::function<void(RankContext&, Communicator&)>& body) {
+  /// Runs `body` on GetParam() ranks spread over ceil(n/4) nodes; returns
+  /// the number of messages the network carried.
+  std::uint64_t Run(
+      const std::function<void(RankContext&, Communicator&)>& body) {
     int n = GetParam();
     int per_node = 4;
     auto cluster = sim::Cluster::PaperTestbed((n + per_node - 1) / per_node);
@@ -21,7 +25,8 @@ class CollectiveTest : public ::testing::TestWithParam<int> {
       Communicator comm(&ctx);
       body(ctx, comm);
     });
-    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_TRUE(result.ok()) << result.error;
+    return cluster->network().total_messages();
   }
 };
 
@@ -150,6 +155,44 @@ TEST_P(CollectiveTest, SubBarrierSynchronizesGroupClocks) {
   });
 }
 
+TEST_P(CollectiveTest, MessageCountsPinTheTreeShapes) {
+  // One message per tree edge: p-1 for each one-way collective, twice that
+  // for the two-phase ones.
+  const std::uint64_t edges = static_cast<std::uint64_t>(GetParam()) - 1;
+  auto sum = [](int a, int b) { return a + b; };
+  EXPECT_EQ(Run([](RankContext&, Communicator& comm) {
+              std::vector<int> data;
+              if (comm.rank() == comm.size() - 1) data = {1, 2, 3};
+              comm.Bcast(data, comm.size() - 1);
+            }),
+            edges);
+  EXPECT_EQ(Run([&](RankContext&, Communicator& comm) {
+              std::vector<int> data = {comm.rank(), 1};
+              comm.Reduce(data, 0, sum);
+            }),
+            edges);
+  EXPECT_EQ(Run([&](RankContext&, Communicator& comm) {
+              std::vector<int> data = {comm.rank()};
+              comm.AllReduce(data, sum);
+            }),
+            2 * edges);
+  EXPECT_EQ(Run([](RankContext&, Communicator& comm) {
+              std::vector<int> mine(static_cast<std::size_t>(comm.rank()) + 1);
+              comm.GatherV(mine, 0);
+            }),
+            edges);
+  EXPECT_EQ(Run([](RankContext&, Communicator& comm) {
+              comm.AllGatherV(std::vector<int>{comm.rank()});
+            }),
+            2 * edges);
+  EXPECT_EQ(Run([](RankContext&, Communicator& comm) {
+              std::vector<std::vector<int>> parts;
+              if (comm.rank() == 0) parts.resize(comm.size(), {7});
+              comm.ScatterV(parts, 0);
+            }),
+            edges);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 33));
 
@@ -175,6 +218,46 @@ TEST(CollectiveScaling, BcastCostGrowsLogarithmically) {
   EXPECT_LT(t16, t4 * 3.0);
   EXPECT_GT(t16, t4);
 }
+
+// A member of a split sub-communicator dies (the parameter is its index in
+// the group): every surviving member of that group gets kPeerDead from
+// AllReduceOr, whatever the victim's place in the trees, while the other
+// group's AllReduceOr completes untouched.
+class SubGroupDeathTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SubGroupDeathTest, AllReduceOrPoisonsEverySurvivingMember) {
+  constexpr int kRanks = 6;
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  const int victim = 2 * GetParam();  // group 0 holds world ranks 0, 2, 4
+  std::atomic<int> poisoned{0};
+  std::atomic<int> completed{0};
+  auto result = RunRanks(*cluster, kRanks, 3, [&](RankContext& ctx) {
+    Communicator world(&ctx);
+    const int color = ctx.rank() % 2;
+    Communicator sub = world.Split(color);
+    if (ctx.rank() == victim) {
+      ctx.world().KillRank(victim, ctx.clock().now());
+      throw RankDeathError(victim);
+    }
+    std::vector<int> data = {ctx.rank() + 1};
+    Status st = sub.AllReduceOr(data, [](int a, int b) { return a + b; });
+    if (color == 0) {
+      EXPECT_EQ(st.code(), StatusCode::kPeerDead) << st.ToString();
+      poisoned.fetch_add(1);
+    } else {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(data[0], 2 + 4 + 6);  // world ranks 1, 3, 5
+      completed.fetch_add(1);
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.dead_ranks, std::vector<int>{victim});
+  EXPECT_EQ(poisoned.load(), 2);
+  EXPECT_EQ(completed.load(), 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Victims, SubGroupDeathTest,
+                         ::testing::Values(0, 1, 2));
 
 }  // namespace
 }  // namespace mm::comm

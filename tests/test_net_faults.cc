@@ -304,8 +304,9 @@ TEST(DlockFaults, MutualExclusionHoldsUnderLinkFaults) {
   constexpr int kRanks = 8;
   constexpr int kIters = 25;
   int counter = 0;  // deliberately unsynchronized; the dlock protects it
+  // One lock shared by every rank: a lock per rank would exclude nothing.
+  comm::DistributedLock lock(cluster.get(), /*home_node=*/0);
   auto result = comm::RunRanks(*cluster, kRanks, 4, [&](comm::RankContext& ctx) {
-    comm::DistributedLock lock(&ctx.world(), /*home_node=*/0);
     for (int i = 0; i < kIters; ++i) {
       comm::DistributedLock::Guard guard(lock, ctx);
       ++counter;

@@ -314,9 +314,13 @@ TEST_F(CommitPathTest, FullScacheWritesNonvolatilePageThrough) {
   EXPECT_EQ(rec->offset, kPage);
   EXPECT_EQ(rec->payload, expected);
   // A later fault stages the page in and verifies it against that CRC.
-  auto page = svc_->ReadPage(*meta, 1, 0, out.done, nullptr);
+  // The scache cannot hold it, so it is served through at the committed
+  // version.
+  std::uint64_t version = 0;
+  auto page = svc_->ReadPage(*meta, 1, 0, out.done, nullptr, &version);
   ASSERT_TRUE(page.ok()) << page.status().ToString();
   EXPECT_EQ(*page, expected);
+  EXPECT_EQ(version, 1u);
   // Verified, not trusted: a backend page that no longer matches the
   // recorded CRC is typed data loss.
   {
