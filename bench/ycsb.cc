@@ -63,8 +63,8 @@ struct MixResult {
   double sim_seconds = 0.0;
 };
 
-// One full mix measurement. `latch_free` flips BOTH the tree's descent
-// tiers and the service's optimistic read path, so false is the pure
+// One full mix measurement. `latch_free` flips the service's optimistic
+// read path, and with it the tree's descent tiers, so false is the pure
 // queue-path ablation the gate compares against.
 MixResult RunMix(const MixSpec& mix, bool latch_free) {
   auto cluster = mm::sim::Cluster::PaperTestbed(mix.nodes);
@@ -81,7 +81,6 @@ MixResult RunMix(const MixSpec& mix, bool latch_free) {
         mm::index::BTreeOptions opt;
         opt.max_nodes = 1 << 16;
         opt.cache_bytes = kCacheNodes * 4096;
-        opt.latch_free = latch_free;
         KvTree tree(svc, ctx, std::string("mem://ycsb_") + mix.name +
                                   (latch_free ? "_lf" : "_q"),
                     opt);

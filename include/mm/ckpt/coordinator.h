@@ -46,9 +46,9 @@ class Coordinator {
 
   Coordinator(CkptOptions options, std::size_t num_nodes);
 
+  /// Whether the subsystem is on (`dir` set): flushes then append redo
+  /// records before writing in place.
   bool enabled() const { return options_.enabled(); }
-  /// Whether flushes must append redo records before writing in place.
-  bool journaling() const { return enabled() && options_.journal_writeback; }
   const CkptOptions& options() const { return options_; }
 
   /// Node-local redo journal; nullptr when the subsystem is disabled.
@@ -63,6 +63,11 @@ class Coordinator {
   std::uint64_t NextEpoch() {
     return epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
+
+  /// Redo-applies one record to its backing object: resolves the record's
+  /// key, re-creates the object when it is missing (it may have vanished
+  /// with a crash), and writes the payload in place. Idempotent.
+  static Status ApplyRecord(const JournalRecord& rec);
 
   /// Startup recovery: re-applies every intact journal record to its
   /// backing object (idempotent redo — heals torn or skipped in-place

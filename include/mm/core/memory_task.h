@@ -144,7 +144,6 @@ struct MemoryTask {
   };
 
   Kind kind = Kind::kGetPage;
-  std::uint64_t vector_id = 0;
   storage::BlobId id;
   std::uint64_t offset = 0;  // for partial ops, offset within the page
   std::uint64_t size = 0;    // for reads: bytes requested (0 = whole page)

@@ -19,13 +19,10 @@
 namespace mm::core {
 
 /// Observability knobs (DESIGN.md §11). Metrics counters are always live
-/// when compiled in (MM_TELEMETRY=ON, the default); these options gate the
-/// trace recorder and the epoch report.
+/// when compiled in (MM_TELEMETRY=ON, the default; -DMM_TELEMETRY=OFF
+/// removes instrumentation entirely); these options say where the trace
+/// and the epoch report go.
 struct TelemetryOptions {
-  /// Master switch for tracing + reporting. Metric counters stay on (they
-  /// are relaxed atomics off the per-access path); compile with
-  /// -DMM_TELEMETRY=OFF to remove instrumentation entirely.
-  bool enabled = true;
   /// Non-empty: record virtual-clock spans and write a Chrome/Perfetto
   /// trace (chrome://tracing, https://ui.perfetto.dev) here at Shutdown.
   std::string trace_path;
@@ -40,10 +37,8 @@ struct TelemetryOptions {
   /// Non-empty: arms the crash flight recorder. A bounded ring of the
   /// most recent spans is kept even when trace_path is unset, and crash
   /// points / rank kills / kDataLoss dump `flightrec_<rank>.json` into
-  /// this directory as a postmortem.
+  /// this directory as a postmortem (the last 256 spans).
   std::string flightrec_dir;
-  /// Flight-ring capacity in spans (most recent kept).
-  std::uint64_t flightrec_capacity = 256;
 };
 
 /// Per-vector knobs. Page size is immutable after creation (paper §III-C:
@@ -55,8 +50,6 @@ struct VectorOptions {
   std::uint64_t pcache_bytes = 16 * kMiB;
   /// Coherence policy for the current phase.
   CoherenceMode mode = CoherenceMode::kReadWriteGlobal;
-  /// Minimum prefetcher score still worth recording (Algorithm 1 input).
-  double min_score = 0.25;
   /// Pages fetched ahead asynchronously into the pcache during sequential
   /// or predictable transactions.
   int prefetch_depth = 4;
@@ -75,8 +68,8 @@ struct VectorOptions {
 /// (DESIGN.md §13).
 enum class RecoveryPolicy {
   /// Re-home: clean pages re-stage lazily from the backend; dirty pages are
-  /// replayed from the dead node's redo journal when journaled writeback is
-  /// on, else surface as kDataLoss.
+  /// replayed from the dead node's redo journal when `ckpt.dir` is set,
+  /// else surface as kDataLoss.
   kRehome,
   /// Roll back: restore every vector from the last collective checkpoint
   /// and redo the lost epoch.
@@ -91,13 +84,9 @@ struct ServiceOptions {
   std::vector<storage::TierGrant> tier_grants;
   /// High-latency worker group size per node (large transfers).
   int workers_per_node = 2;
-  /// Low-latency worker group size per node (small, latency-sensitive).
+  /// Low-latency worker group size per node: reads and scores under
+  /// 16 KiB (paper §III-B) ride this group.
   int low_latency_workers = 1;
-  /// Tasks strictly below this byte size go to the low-latency group
-  /// (paper §III-B: 16 KB).
-  std::uint64_t low_latency_threshold = 16 * kKiB;
-  /// Score updates between Data Organizer rebalance sweeps.
-  int organize_every = 64;
   /// Master switches used by the scalability study (Fig. 5 runs MegaMmap
   /// "with no optimizations enabled") and the ablations.
   bool enable_prefetch = true;
@@ -117,16 +106,16 @@ struct ServiceOptions {
   /// Observability: trace recording and per-epoch runtime reports.
   TelemetryOptions telemetry;
   /// Crash consistency (DESIGN.md §12): journaled writeback and epoch
-  /// checkpoints, enabled by setting `ckpt.dir`.
+  /// checkpoints, both on exactly when `ckpt.dir` is set.
   ckpt::CkptOptions ckpt;
   /// How ckpt::CollectiveRecover treats a dead node's pages.
   RecoveryPolicy recovery_policy = RecoveryPolicy::kRehome;
 
-  /// Parses a service config from YAML, e.g.:
+  /// Parses a service config from YAML; keys it does not know are
+  /// ignored. E.g.:
   ///   runtime:
   ///     workers_per_node: 2
   ///     low_latency_workers: 1
-  ///     low_latency_threshold: 16k
   ///     recovery_policy: rehome   # or: rollback
   ///   tiers:
   ///     - kind: dram
@@ -141,13 +130,11 @@ struct ServiceOptions {
   ///     nvme:
   ///       transient_error_rate: 0.01
   ///   telemetry:
-  ///     enabled: true
   ///     trace_path: /tmp/mm_trace.json
   ///     report_interval_s: 1.0
   ///     report_path: /tmp/mm_report.jsonl
   ///   ckpt:
   ///     dir: /tmp/mm_ckpt
-  ///     journal_writeback: true
   static StatusOr<ServiceOptions> FromYaml(const yaml::Node& root);
 };
 

@@ -54,6 +54,9 @@ class Prefetcher {
   /// Bounds the extended scoring loop so a tiny MinScore cannot make one
   /// step enumerate the whole dataset.
   static constexpr std::uint64_t kMaxScoredAhead = 64;
+  /// Algorithm 1's MinScore for every vector: the lowest score still worth
+  /// recording.
+  static constexpr double kMinScore = 0.25;
 
   /// One prefetcher invocation (Algorithm 1 PREFETCHER): evicts, scores,
   /// fetches ahead, then acknowledges the accesses (Head = Tail).

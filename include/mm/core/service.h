@@ -171,7 +171,7 @@ class NodeRuntime {
   /// the in-place write — and honors the armed crash points. `version` /
   /// `page_crc` describe the full committed page the payload (`*bytes`,
   /// trimmed to the logical extent) belongs to. Falls through to a plain
-  /// backend write when journaling is off.
+  /// backend write when `ckpt.dir` is unset.
   Status JournaledBackendWrite(VectorMeta& meta, const storage::BlobId& id,
                                std::uint64_t version, std::uint32_t page_crc,
                                std::uint64_t offset,
@@ -439,12 +439,6 @@ class Service {
       VectorMeta& meta, std::uint64_t page, std::size_t from_node,
       sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr,
       int* retries = nullptr);
-
-  /// Current write-version of a page per the metadata manager (0 when the
-  /// page has never been placed). Charges the metadata round trip.
-  std::uint64_t PageVersion(VectorMeta& meta, std::uint64_t page,
-                            std::size_t from_node, sim::SimTime now,
-                            sim::SimTime* done);
 
   /// An asynchronous page fetch started by the prefetcher.
   struct AsyncRead {

@@ -83,8 +83,6 @@ class Vector {
     prefetch_useful_ = tel.metrics->GetCounter("mm.prefetch.useful_count");
     prefetch_wasted_ = tel.metrics->GetCounter("mm.prefetch.wasted_count");
     score_count_ = tel.metrics->GetCounter("mm.prefetch.score_count");
-    readpath_hit_ = tel.metrics->GetCounter("mm.readpath.fastpath_hit_count");
-    readpath_retry_ = tel.metrics->GetCounter("mm.readpath.retry_count");
   }
 
   // Paper semantics: vectors are NOT destroyed in the destructor; call
@@ -181,7 +179,7 @@ class Vector {
   /// Spans created under the transaction must be destroyed first.
   void TxEnd() {
     MM_CHECK_MSG(tx_ != nullptr, "TxEnd without active transaction");
-    FlushDirtyFrames(/*retain=*/true);
+    FlushDirtyFrames();
     WaitOutstanding();
     tel_.trace->Complete(tx_->writes() ? "tx_write" : "tx_read", "tx",
                          tel_.node, ctx_->rank(), tx_begin_s_,
@@ -360,7 +358,9 @@ class Vector {
   /// faults, never touches the LRU, never charges the virtual clock: on a
   /// non-resident page, an index overflow, or a persistently-racing writer
   /// it returns false and the caller falls back to the owner's path.
-  /// `*retries` (optional) accumulates validation conflicts.
+  /// `*retries` (optional) accumulates validation conflicts. It counts no
+  /// `mm.readpath.*` metric: those cover the service's page bypass, whose
+  /// hits and fallbacks must add up to its attempts.
   bool TryReadOptimistic(std::uint64_t i, T* out, int* retries = nullptr) const {
     if (!options_.optimistic_readers || i >= size()) return false;
     std::uint64_t elem;
@@ -374,18 +374,15 @@ class Vector {
         // Odd seq (writer in section / retired) or a recycled frame now
         // holding another page: re-probe the index.
         if (retries != nullptr) ++*retries;
-        readpath_retry_->Inc();
         continue;
       }
       alignas(T) std::uint8_t buf[sizeof(T)];
       guard.ReadBytes(elem * sizeof(T), buf, sizeof(T));
       if (guard.Validate()) {
         std::memcpy(out, buf, sizeof(T));
-        readpath_hit_->Inc();
         return true;
       }
       if (retries != nullptr) ++*retries;
-      readpath_retry_->Inc();
     }
     return false;
   }
@@ -404,7 +401,7 @@ class Vector {
   /// Synchronously commits this process's modifications to the scache and
   /// stages the vector's dirty pages to the backend.
   void Flush() {
-    FlushDirtyFrames(/*retain=*/true);
+    FlushDirtyFrames();
     WaitOutstanding();
     sim::SimTime done = ctx_->clock().now();
     Status st =
@@ -417,7 +414,7 @@ class Vector {
   /// backend staging). Equivalent to the commit half of TxEnd; useful for
   /// non-transactional writes (Append/Set) before a synchronization point.
   void Commit() {
-    FlushDirtyFrames(/*retain=*/true);
+    FlushDirtyFrames();
     WaitOutstanding();
   }
 
@@ -427,7 +424,7 @@ class Vector {
   /// during periods of computation"). Real execution still completes the
   /// staging before returning, so the data is durable.
   void FlushAsync() {
-    FlushDirtyFrames(/*retain=*/true);
+    FlushDirtyFrames();
     WaitOutstanding();
     Status st = service_->FlushVector(*meta_, ctx_->node(),
                                       ctx_->clock().now(), nullptr);
@@ -439,7 +436,7 @@ class Vector {
   /// (pinned pages are skipped) but see no invalidation — end spans first.
   void ChangePhase(CoherenceMode new_mode) {
     // Local modifications must be committed under the old phase's rules.
-    FlushDirtyFrames(/*retain=*/true);
+    FlushDirtyFrames();
     WaitOutstanding();
     sim::SimTime done = ctx_->clock().now();
     Status st = service_->ChangePhase(*meta_, new_mode, ctx_->node(),
@@ -480,7 +477,6 @@ class Vector {
   // ---- stats ----
   std::uint64_t faults() const { return faults_; }
   std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t prefetches() const { return prefetches_; }
   PCache& pcache() { return *pcache_; }
   VectorMeta& meta() const { return *meta_; }
 
@@ -804,21 +800,13 @@ class Vector {
     });
   }
 
-  /// Commits dirty frames; frames stay resident (clean) when `retain`.
-  void FlushDirtyFrames(bool retain) {
+  /// Commits dirty frames; they stay resident, now clean.
+  void FlushDirtyFrames() {
     for (std::uint64_t page : pcache_->DirtyPages()) {
       PageFrame* frame = pcache_->Find(page);
       MM_CHECK(frame != nullptr);
       ShipDirtyRuns(page, *frame);
-      if (retain || pcache_->IsPinned(page)) {
-        pcache_->MarkClean(page);
-      } else {
-        pcache_->Remove(page);  // buffer stays parked on the free list
-        if (page == last_page_) {
-          last_page_ = kNoPage;
-          last_frame_ = nullptr;
-        }
-      }
+      pcache_->MarkClean(page);
     }
   }
 
@@ -884,7 +872,6 @@ class Vector {
       if (page * epp_ >= size()) return;
       auto ar = service_->ReadPageAsync(*meta_, page, ctx_->node(),
                                         ctx_->clock().now());
-      ++prefetches_;
       prefetch_issued_->Inc();
       pcache_->AddPending(page,
                           PendingFetch{std::move(ar.future), ar.owner,
@@ -896,7 +883,7 @@ class Vector {
     ops.est_read_seconds = [&](std::uint64_t page, std::uint64_t bytes) {
       return service_->EstimateReadSeconds(*meta_, page, bytes);
     };
-    Prefetcher::Step(state, *tx_, options_.min_score, ops);
+    Prefetcher::Step(state, *tx_, Prefetcher::kMinScore, ops);
   }
 
   Service* service_;
@@ -921,7 +908,6 @@ class Vector {
   int pgas_nprocs_ = 1;
   std::uint64_t faults_ = 0;
   std::uint64_t evictions_ = 0;
-  std::uint64_t prefetches_ = 0;
   // Cached telemetry handles (see the constructor for the name catalog).
   telemetry::Counter* hit_count_ = nullptr;
   telemetry::Counter* miss_count_ = nullptr;
@@ -933,8 +919,6 @@ class Vector {
   telemetry::Counter* prefetch_useful_ = nullptr;
   telemetry::Counter* prefetch_wasted_ = nullptr;
   telemetry::Counter* score_count_ = nullptr;
-  telemetry::Counter* readpath_hit_ = nullptr;
-  telemetry::Counter* readpath_retry_ = nullptr;
   telemetry::NodeSink tel_ = telemetry::NodeSink::Dummy();
   sim::SimTime tx_begin_s_ = 0.0;
 };

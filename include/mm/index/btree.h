@@ -54,17 +54,6 @@ struct BTreeOptions {
   /// Per-rank pcache budget for the node arena; 0 = 64 nodes. Kept small
   /// on purpose: the descent funnel, not residency, is the fast path.
   std::uint64_t cache_bytes = 0;
-  /// Latch-free descent tiers (pcache seqlock + scache probe). Off = the
-  /// queue-path-only ablation bench/ycsb compares against.
-  bool latch_free = true;
-  /// Descent restarts (validation failure, fence-chase overrun) before the
-  /// owner path falls back to queue-fault reads, mirroring
-  /// TryReadPageOptimistic's bounded attempts.
-  int max_restarts = 8;
-  /// Lateral (right-sibling) hops tolerated within one descent.
-  int max_lateral = 64;
-  /// Home node of the cross-rank SMO lease.
-  std::size_t lock_home = 0;
 };
 
 /// Owner-thread descent statistics (cross-thread Try* paths report through
@@ -114,7 +103,7 @@ class BTree : public BTreeBase {
         // Every rank's handle leases the SAME service-registered lock
         // object: the real mutex inside it is the cross-rank exclusion.
         smo_lease_(&service.GetDistributedLock(name + "/smo_lock",
-                                               opt.lock_home)),
+                                               kLockHome)),
         metrics_(service.telemetry_sink(ctx.node())) {}
 
   BTree(const BTree&) = delete;
@@ -295,7 +284,7 @@ class BTree : public BTreeBase {
     TreeAnchor a;
     if (!TryReadAnchor(&a)) return false;
     if (a.height == 0) return false;
-    for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRestarts; ++attempt) {
       Block blk;
       int rc = TryDescend(k, a, &blk);
       if (rc < 0) return false;  // a tier-1/2 miss: inconclusive
@@ -322,7 +311,7 @@ class BTree : public BTreeBase {
                        std::vector<std::pair<K, V>>* out) const {
     TreeAnchor a;
     if (!TryReadAnchor(&a) || a.height == 0) return -1;
-    for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRestarts; ++attempt) {
       Block blk;
       int rc = TryDescend(from, a, &blk);
       if (rc < 0) return -1;
@@ -417,6 +406,20 @@ class BTree : public BTreeBase {
   TreeAnchor anchor_snapshot() { return ReadAnchorOwner(); }
 
  private:
+  /// Descent restarts (validation failure, fence-chase overrun) before the
+  /// owner path falls back to queue-fault reads, mirroring
+  /// TryReadPageOptimistic's bounded attempts.
+  static constexpr int kMaxRestarts = 8;
+  /// Lateral (right-sibling) hops tolerated within one descent.
+  static constexpr int kMaxLateral = 64;
+  /// Home node of the cross-rank SMO lease.
+  static constexpr std::size_t kLockHome = 0;
+
+  /// Latch-free descent tiers (pcache seqlock + scache probe) follow the
+  /// service's read fast path, so `enable_optimistic_reads = false` is
+  /// the queue-path-only ablation bench/ycsb compares against.
+  bool LatchFree() const { return svc_->options().enable_optimistic_reads; }
+
   static core::VectorOptions ArenaOptions(const BTreeOptions& o) {
     core::VectorOptions vo;
     vo.page_size = sizeof(Block);  // one node per page: frame seqlock == node lock
@@ -482,7 +485,7 @@ class BTree : public BTreeBase {
 
   /// Tier 1 + 2 node snapshot; false = inconclusive miss. Any thread.
   bool TryReadNode(std::uint64_t id, Block* out) const {
-    if (!opt_.latch_free) return false;
+    if (!LatchFree()) return false;
     metrics_.node_reads->Inc();
     return CountTier(ReadTiered(arena_, id, out, /*probe=*/true, nullptr),
                      nullptr);
@@ -539,7 +542,7 @@ class BTree : public BTreeBase {
     ++stats_.node_reads;
     ctx_->Compute(ctx_->costs().memory_access_s +
                   ctx_->costs().mm_access_overhead_s);
-    if (opt_.latch_free &&
+    if (LatchFree() &&
         CountTier(ReadTiered(arena_, id, out, /*probe=*/leaf_hint,
                              &ctx_->clock()),
                   &stats_)) {
@@ -571,7 +574,7 @@ class BTree : public BTreeBase {
       Ref r(out);
       if (!r.Sane(level, opt_.max_nodes)) return 1;
       if (r.FenceMiss(k) && r.right() != kInvalidNode) {
-        if (++lateral > opt_.max_lateral) return 1;
+        if (++lateral > kMaxLateral) return 1;
         id = r.right();
         if (!read(id, level, out)) return -1;
         continue;  // same expected level
@@ -596,7 +599,7 @@ class BTree : public BTreeBase {
       ReadNodeOwner(id, b, /*leaf_hint=*/lvl == 0);
       return true;
     };
-    for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRestarts; ++attempt) {
       int rc = DescendWith(k, a, out, funnel, nullptr);
       if (rc == 0) return true;
       metrics_.restarts->Inc();

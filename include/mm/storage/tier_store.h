@@ -59,21 +59,10 @@ class TierStore {
                     const std::vector<std::uint8_t>& data, sim::SimTime now,
                     sim::SimTime* done);
 
-  /// Reads a whole blob.
-  StatusOr<std::vector<std::uint8_t>> Get(const BlobId& id, sim::SimTime now,
-                                          sim::SimTime* done) const;
-
   /// Reads a whole blob into a caller-provided buffer, reusing its
   /// capacity (zero-copy task path: workers pass pooled page buffers).
   Status GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
                  sim::SimTime now, sim::SimTime* done) const;
-
-  /// Reads bytes [offset, offset+size).
-  StatusOr<std::vector<std::uint8_t>> GetPartial(const BlobId& id,
-                                                 std::uint64_t offset,
-                                                 std::uint64_t size,
-                                                 sim::SimTime now,
-                                                 sim::SimTime* done) const;
 
   /// Removes a blob (no device charge: drop is a metadata operation).
   Status Erase(const BlobId& id);

@@ -37,28 +37,30 @@ std::string Coordinator::ManifestPathFor(const std::string& tag) const {
   return ManifestPath(options_.dir, tag);
 }
 
+Status Coordinator::ApplyRecord(const JournalRecord& rec) {
+  MM_ASSIGN_OR_RETURN(auto resolved,
+                      storage::StagerRegistry::Default().Resolve(rec.key));
+  auto [stager, uri] = resolved;
+  if (!stager->Exists(uri)) {
+    // The backing object vanished with the crash (e.g. created but never
+    // sized): re-create the extent the record addresses.
+    MM_RETURN_IF_ERROR(stager->Create(uri, rec.offset + rec.payload.size()));
+  }
+  return stager->Write(uri, rec.offset, rec.payload.data(),
+                       rec.payload.size());
+}
+
 Status Coordinator::RecoverOnStartup(std::uint64_t* applied,
                                      std::uint64_t* torn) {
   if (applied != nullptr) *applied = 0;
   if (torn != nullptr) *torn = 0;
   if (!enabled()) return Status::Ok();
-  auto& registry = storage::StagerRegistry::Default();
   Status first_error = Status::Ok();
   for (auto& journal : journals_) {
     std::uint64_t journal_applied = 0, journal_torn = 0;
     Status st = journal->Replay(
         [&](const JournalRecord& rec) {
-          MM_ASSIGN_OR_RETURN(auto resolved, registry.Resolve(rec.key));
-          auto [stager, uri] = resolved;
-          if (!stager->Exists(uri)) {
-            // The backing object vanished with the crash (e.g. created but
-            // never sized): re-create the extent the record addresses.
-            MM_RETURN_IF_ERROR(
-                stager->Create(uri, rec.offset + rec.payload.size()));
-          }
-          MM_RETURN_IF_ERROR(stager->Write(uri, rec.offset,
-                                           rec.payload.data(),
-                                           rec.payload.size()));
+          MM_RETURN_IF_ERROR(ApplyRecord(rec));
           MutexLock lock(mu_);
           DurableState& state = replayed_[rec.id];
           if (rec.version >= state.version) {

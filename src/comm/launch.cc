@@ -1,6 +1,9 @@
 #include "mm/comm/launch.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 
 #include "mm/sim/oom.h"
@@ -26,6 +29,11 @@ RunResult RunRanks(sim::Cluster& cluster, int num_ranks, int ranks_per_node,
   threads.reserve(num_ranks);
   for (int rank = 0; rank < num_ranks; ++rank) {
     threads.emplace_back([&, rank] {
+      // Named before the body runs, so /proc/<pid>/task/*/comm tells rank
+      // threads from service workers (names cap at 15 characters).
+      char name[16];
+      std::snprintf(name, sizeof(name), "rank%d", rank);
+      pthread_setname_np(pthread_self(), name);
       RankContext ctx(&world, rank);
       // Log lines from this rank carry its virtual clock and node id
       // ("[t=12.345s n3 WARN] ..."). The clock is thread-confined to this

@@ -22,10 +22,6 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
         static_cast<int>(runtime.GetInt("workers_per_node", opts.workers_per_node));
     opts.low_latency_workers = static_cast<int>(
         runtime.GetInt("low_latency_workers", opts.low_latency_workers));
-    opts.low_latency_threshold =
-        runtime.GetBytes("low_latency_threshold", opts.low_latency_threshold);
-    opts.organize_every =
-        static_cast<int>(runtime.GetInt("organize_every", opts.organize_every));
     opts.enable_prefetch =
         runtime.GetBool("enable_prefetch", opts.enable_prefetch);
     opts.enable_organizer =
@@ -50,8 +46,6 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
   }
   const yaml::Node& telemetry = root["telemetry"];
   if (telemetry.IsMap()) {
-    opts.telemetry.enabled =
-        telemetry.GetBool("enabled", opts.telemetry.enabled);
     opts.telemetry.trace_path =
         telemetry.GetString("trace_path", opts.telemetry.trace_path);
     opts.telemetry.trace_capacity =
@@ -62,16 +56,10 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
         telemetry.GetString("report_path", opts.telemetry.report_path);
     opts.telemetry.flightrec_dir =
         telemetry.GetString("flightrec_dir", opts.telemetry.flightrec_dir);
-    opts.telemetry.flightrec_capacity = static_cast<std::uint64_t>(
-        telemetry.GetInt("flightrec_capacity",
-                         static_cast<std::int64_t>(
-                             opts.telemetry.flightrec_capacity)));
   }
   const yaml::Node& ckpt = root["ckpt"];
   if (ckpt.IsMap()) {
     opts.ckpt.dir = ckpt.GetString("dir", opts.ckpt.dir);
-    opts.ckpt.journal_writeback =
-        ckpt.GetBool("journal_writeback", opts.ckpt.journal_writeback);
   }
   const yaml::Node& tiers = root["tiers"];
   if (tiers.IsList()) {

@@ -1,6 +1,9 @@
 #include "mm/core/service.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <cstdio>
 
 #include "mm/sim/cost_model.h"
 #include "mm/telemetry/critpath.h"
@@ -11,6 +14,13 @@ namespace mm::core {
 
 namespace {
 constexpr std::uint64_t kControlBytes = 64;  // task request envelope
+// Reads and scores strictly below this size take the low-latency worker
+// group (paper §III-B: 16 KB).
+constexpr std::uint64_t kLowLatencyThreshold = 16 * kKiB;
+// Score updates between Data Organizer rebalance sweeps.
+constexpr int kOrganizeEvery = 64;
+// Flight-recorder ring capacity in spans (most recent kept).
+constexpr std::size_t kFlightRecCapacity = 256;
 
 void Merge(sim::SimTime end, sim::SimTime* done) {
   if (done != nullptr) *done = std::max(*done, end);
@@ -121,12 +131,19 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
     low_queues_.push_back(std::make_unique<BlockingQueue<MemoryTask>>());
   }
   int wid = 0;
-  auto spawn = [this, &wid](BlockingQueue<MemoryTask>* q) {
+  auto spawn = [this, &wid](BlockingQueue<MemoryTask>* q, const char* group,
+                            int i) {
     int id = wid++;
     workers_.emplace_back([this, q, id] { WorkerLoop(q, id); });
+    // "n<node>-w<i>" (high-latency) or "n<node>-ll<i>" (low-latency), so
+    // /proc/<pid>/task/*/comm tells workers from rank threads; names cap
+    // at 15 characters.
+    char name[16];
+    std::snprintf(name, sizeof(name), "n%zu-%s%d", node_id_, group, i);
+    pthread_setname_np(workers_.back().native_handle(), name);
   };
-  for (auto& q : high_queues_) spawn(q.get());
-  for (auto& q : low_queues_) spawn(q.get());
+  for (int i = 0; i < high; ++i) spawn(high_queues_[i].get(), "w", i);
+  for (int i = 0; i < low; ++i) spawn(low_queues_[i].get(), "ll", i);
 }
 
 NodeRuntime::~NodeRuntime() { Shutdown(); }
@@ -180,7 +197,7 @@ Status NodeRuntime::Submit(MemoryTask task) {
   // low-latency group to dodge head-of-line blocking (paper §III-B).
   BlockingQueue<MemoryTask>* queue;
   if (!is_write && !low_queues_.empty() &&
-      TaskBytes(task) < options_.low_latency_threshold) {
+      TaskBytes(task) < kLowLatencyThreshold) {
     queue = low_queues_[digest % low_queues_.size()].get();
   } else {
     queue = high_queues_[digest % high_queues_.size()].get();
@@ -342,9 +359,7 @@ Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
     // touch disk after the armed crash fired.
     return Unavailable("node crashed (simulated)");
   }
-  ckpt::Journal* journal =
-      service_->checkpointer().journaling() ? service_->journal(node_id_)
-                                            : nullptr;
+  ckpt::Journal* journal = service_->journal(node_id_);  // null: no ckpt.dir
   if (journal != nullptr && meta.stager != nullptr) {
     ckpt::JournalRecord rec;
     rec.id = id;
@@ -674,9 +689,9 @@ TaskOutcome NodeRuntime::ExecuteScore(MemoryTask& task) {
   TaskOutcome out;
   out.done = task.issue_time;
   bm_.SetScore(task.id, task.score);
-  if (options_.enable_organizer && options_.organize_every > 0) {
+  if (options_.enable_organizer) {
     int n = score_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n % options_.organize_every == 0) {
+    if (n % kOrganizeEvery == 0) {
       sim::SimTime done = task.issue_time;
       bm_.Rebalance(task.issue_time, &done);
       out.done = done;
@@ -777,13 +792,11 @@ Service::Service(sim::Cluster* cluster, ServiceOptions options)
   }
   trace_ = std::make_unique<telemetry::TraceRecorder>(
       static_cast<std::size_t>(options_.telemetry.trace_capacity));
-  trace_->set_enabled(options_.telemetry.enabled &&
-                      !options_.telemetry.trace_path.empty());
+  trace_->set_enabled(!options_.telemetry.trace_path.empty());
   // Flight recorder is independent of the trace switch: the small span
   // ring stays warm in every run so a crash can leave a postmortem.
   if (!options_.telemetry.flightrec_dir.empty()) {
-    trace_->set_flight_capacity(
-        static_cast<std::size_t>(options_.telemetry.flightrec_capacity));
+    trace_->set_flight_capacity(kFlightRecCapacity);
   }
   reporter_ =
       std::make_unique<telemetry::EpochReporter>(options_.telemetry.report_path);
@@ -854,21 +867,19 @@ void Service::Shutdown() {
   // Final telemetry drain, after every worker has quiesced: one closing
   // epoch (stamped at the last reported virtual time) and the Chrome-trace
   // dump.
-  if (options_.telemetry.enabled) {
-    double final_s;
-    {
-      MutexLock lock(report_mu_);
-      final_s = last_epoch_s_;
-    }
-    // The line was already appended to the report file; the returned copy
-    // has no reader at shutdown.
-    (void)EpochReport(final_s);
-    if (!options_.telemetry.trace_path.empty()) {
-      Status st = trace_->WriteJson(options_.telemetry.trace_path);
-      if (!st.ok()) {
-        MM_WARN("service") << "trace dump to '" << options_.telemetry.trace_path
-                           << "' failed: " << st.ToString();
-      }
+  double final_s;
+  {
+    MutexLock lock(report_mu_);
+    final_s = last_epoch_s_;
+  }
+  // The line was already appended to the report file; the returned copy
+  // has no reader at shutdown.
+  (void)EpochReport(final_s);
+  if (!options_.telemetry.trace_path.empty()) {
+    Status st = trace_->WriteJson(options_.telemetry.trace_path);
+    if (!st.ok()) {
+      MM_WARN("service") << "trace dump to '" << options_.telemetry.trace_path
+                         << "' failed: " << st.ToString();
     }
   }
 }
@@ -901,7 +912,6 @@ telemetry::ClusterSnapshot Service::TelemetrySnapshot() {
 }
 
 std::string Service::EpochReport(double now_s) {
-  if (!options_.telemetry.enabled) return "";
   UpdateCritpathCounters(now_s);
   telemetry::ClusterSnapshot snap = TelemetrySnapshot();
   {
@@ -960,7 +970,6 @@ void Service::DumpFlightRecord(std::size_t node, std::string_view reason,
 }
 
 std::string Service::MaybeEpochReport(double now_s) {
-  if (!options_.telemetry.enabled) return "";
   double interval = options_.telemetry.report_interval_s;
   if (interval <= 0.0) return "";
   {
@@ -1127,7 +1136,6 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
     if (meta == nullptr || meta->stager == nullptr) continue;
     MemoryTask restore;
     restore.kind = MemoryTask::Kind::kGetPage;
-    restore.vector_id = id.vector_id;
     restore.id = id;
     restore.size = meta->page_bytes;
     restore.score = loc->score;
@@ -1199,25 +1207,15 @@ Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
 
 bool Service::TryJournalRecover(std::size_t node, const storage::BlobId& id,
                                 const storage::BlobLocation& loc) {
-  if (ckpt_ == nullptr || !ckpt_->journaling()) return false;
+  if (ckpt_ == nullptr) return false;
   ckpt::Journal* journal = ckpt_->journal(node);
-  if (journal == nullptr) return false;
+  if (journal == nullptr) return false;  // ckpt.dir unset
   auto rec = journal->Latest(id);
   if (!rec.ok() || rec->version < loc.version) return false;
-  auto resolved = storage::StagerRegistry::Default().Resolve(rec->key);
-  if (!resolved.ok()) return false;
-  storage::Stager* stager = resolved->first;
-  const auto& uri = resolved->second;
-  if (!stager->Exists(uri)) {
-    Status cs = stager->Create(uri, rec->offset + rec->payload.size());
-    if (!cs.ok()) return false;
-  }
   // Idempotent re-apply: the in-place write may have landed (fully or
   // partially) before the tier died; replaying the record converges the
   // backend to the journaled version either way.
-  Status ws = stager->Write(uri, rec->offset, rec->payload.data(),
-                            rec->payload.size());
-  if (!ws.ok()) return false;
+  if (!ckpt::Coordinator::ApplyRecord(*rec).ok()) return false;
   metrics_[node]->GetCounter("mm.ckpt.journal_recovered_count")->Inc();
   MM_WARN("ckpt") << "page " << id.ToString() << " on node " << node
                   << " recovered from its redo journal at version "
@@ -1271,16 +1269,6 @@ Status Service::EnsureBackend(VectorMeta& meta) {
   }
   meta.backend_ready = true;
   return Status::Ok();
-}
-
-std::uint64_t Service::PageVersion(VectorMeta& meta, std::uint64_t page,
-                                   std::size_t from_node, sim::SimTime now,
-                                   sim::SimTime* done) {
-  storage::BlobId id{meta.vector_id, page};
-  sim::SimTime t = now;
-  auto loc = metadata().Lookup(id, from_node, now, &t);
-  Merge(t, done);
-  return loc.ok() ? loc->version : 0;
 }
 
 StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
@@ -1344,7 +1332,6 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
       MemoryTask task;
       task.kind = MemoryTask::Kind::kGetPage;
-      task.vector_id = meta.vector_id;
       task.id = id;
       task.size = meta.page_bytes;
       task.from_node = from_node;
@@ -1598,7 +1585,6 @@ Service::AsyncRead Service::ReadPageAsync(VectorMeta& meta,
   std::size_t owner = ChooseReadSource(meta, id, from_node, now, nullptr).node;
   MemoryTask task;
   task.kind = MemoryTask::Kind::kGetPage;
-  task.vector_id = meta.vector_id;
   task.id = id;
   task.size = meta.page_bytes;
   task.from_node = from_node;
@@ -1647,7 +1633,6 @@ std::shared_future<TaskOutcome> Service::WriteRegion(
 
   MemoryTask task;
   task.kind = MemoryTask::Kind::kWritePartial;
-  task.vector_id = meta.vector_id;
   task.id = id;
   task.offset = offset;
   task.data = std::move(bytes);
@@ -1684,7 +1669,6 @@ void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
   if (!loc.ok()) return;  // nothing placed yet; nothing to organize
   MemoryTask task;
   task.kind = MemoryTask::Kind::kScore;
-  task.vector_id = meta.vector_id;
   task.id = id;
   task.score = score;
   task.from_node = from_node;
@@ -1744,7 +1728,6 @@ Service::StageOutResult Service::StageOutDirty(
       if (!loc.ok() || !loc->dirty) continue;
       MemoryTask task;
       task.kind = MemoryTask::Kind::kStageOut;
-      task.vector_id = meta->vector_id;
       task.id = id;
       task.from_node = from_node;
       task.issue_time = now;
@@ -1795,7 +1778,6 @@ Status Service::ChangePhase(VectorMeta& meta, CoherenceMode new_mode,
       for (std::size_t node : dropped) {
         MemoryTask task;
         task.kind = MemoryTask::Kind::kErase;
-        task.vector_id = meta.vector_id;
         task.id = id;
         task.from_node = from_node;
         task.issue_time = inval_done;

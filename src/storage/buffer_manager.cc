@@ -198,15 +198,14 @@ float BufferManager::GetScore(const BlobId& id) const {
 Status BufferManager::Move(const BlobId& id, std::size_t from, std::size_t to,
                            sim::SimTime now, sim::SimTime* done) {
   sim::SimTime read_done = now;
-  auto data = RunWithRetry(retry_, now, &read_done,
-                           [&](double start, double* attempt_done) {
-                             return tiers_[from]->Get(id, start, attempt_done);
-                           });
-  MM_RETURN_IF_ERROR(data.status());
+  std::vector<std::uint8_t> data;
+  MM_RETURN_IF_ERROR(RunWithRetry(
+      retry_, now, &read_done, [&](double start, double* attempt_done) {
+        return tiers_[from]->GetInto(id, &data, start, attempt_done);
+      }));
   MM_RETURN_IF_ERROR(RunWithRetry(
       retry_, read_done, done, [&](double start, double* attempt_done) {
-        return tiers_[to]->Put(id, std::move(data).value(), start,
-                               attempt_done);
+        return tiers_[to]->Put(id, std::move(data), start, attempt_done);
       }));
   MergeDone(read_done, done);
   return tiers_[from]->Erase(id);

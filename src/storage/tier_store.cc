@@ -140,26 +140,6 @@ Status TierStore::PutPartial(const BlobId& id, std::uint64_t offset,
   return Status::Ok();
 }
 
-StatusOr<std::vector<std::uint8_t>> TierStore::Get(const BlobId& id,
-                                                   sim::SimTime now,
-                                                   sim::SimTime* done) const {
-  double factor = 1.0;
-  MM_RETURN_IF_ERROR(InjectFault(/*is_write=*/false, now, done, &factor));
-  std::vector<std::uint8_t> copy;
-  {
-    MutexLock lock(mu_);
-    auto it = blobs_.find(id);
-    if (it == blobs_.end()) {
-      return NotFound("blob " + id.ToString() + " not in tier");
-    }
-    copy = it->second;
-  }
-  sim::SimTime end = device_->Read(now, copy.size(), factor);
-  if (done != nullptr) *done = end;
-  Record(/*is_write=*/false, copy.size(), now, end);
-  return copy;
-}
-
 Status TierStore::GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
                           sim::SimTime now, sim::SimTime* done) const {
   double factor = 1.0;
@@ -178,31 +158,6 @@ Status TierStore::GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
   if (done != nullptr) *done = end;
   Record(/*is_write=*/false, size, now, end);
   return Status::Ok();
-}
-
-StatusOr<std::vector<std::uint8_t>> TierStore::GetPartial(
-    const BlobId& id, std::uint64_t offset, std::uint64_t size,
-    sim::SimTime now, sim::SimTime* done) const {
-  double factor = 1.0;
-  MM_RETURN_IF_ERROR(InjectFault(/*is_write=*/false, now, done, &factor));
-  std::vector<std::uint8_t> copy;
-  {
-    MutexLock lock(mu_);
-    auto it = blobs_.find(id);
-    if (it == blobs_.end()) {
-      return NotFound("blob " + id.ToString() + " not in tier");
-    }
-    // Overflow-safe bounds check: `offset + size` could wrap.
-    if (offset > it->second.size() || size > it->second.size() - offset) {
-      return OutOfRange("partial read past end of blob " + id.ToString());
-    }
-    copy.assign(it->second.begin() + static_cast<std::ptrdiff_t>(offset),
-                it->second.begin() + static_cast<std::ptrdiff_t>(offset + size));
-  }
-  sim::SimTime end = device_->Read(now, size, factor);
-  if (done != nullptr) *done = end;
-  Record(/*is_write=*/false, size, now, end);
-  return copy;
 }
 
 Status TierStore::Erase(const BlobId& id) {

@@ -228,6 +228,46 @@ TEST(BTreeProperty, MatchesMapOracleUnderSeedSweep) {
   ASSERT_TRUE(run.ok()) << run.error;
 }
 
+// The tree's latch-free tiers follow ServiceOptions::enable_optimistic_reads:
+// with it off, every node read is a queue fallback (the bench/ycsb
+// ablation), and the tree still answers exactly like the map oracle.
+TEST(BTreeAblation, OptimisticReadsOffServesEveryNodeReadFromTheQueue) {
+  auto cluster = sim::Cluster::PaperTestbed(1);
+  core::ServiceOptions so = SvcOptions();
+  so.enable_optimistic_reads = false;
+  core::Service svc(cluster.get(), so);
+  DescentStats stats;
+  auto run = comm::RunRanks(*cluster, 1, 1, [&](comm::RankContext& ctx) {
+    BTreeOptions opt;
+    opt.max_nodes = 1 << 16;
+    SmallTree tree(svc, ctx, "mem://bt_queue_only", opt);
+    tree.Create();
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    Rng rng(FaultSeed());
+    for (int i = 0; i < 1500; ++i) {
+      const std::uint64_t k = rng.NextBounded(4096);
+      const std::uint64_t v = rng.Next();
+      tree.Put(k, v);
+      oracle[k] = v;
+    }
+    for (std::uint64_t k = 0; k < 4096; ++k) {
+      std::uint64_t v = 0;
+      auto it = oracle.find(k);
+      ASSERT_EQ(tree.Get(k, &v), it != oracle.end()) << "key " << k;
+      if (it != oracle.end()) {
+        EXPECT_EQ(v, it->second) << "key " << k;
+      }
+    }
+    stats = tree.stats();
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
+  telemetry::MetricsRegistry& reg = svc.metrics(0);
+  EXPECT_EQ(reg.GetCounter("mm.index.pcache_hit_count")->value(), 0u);
+  EXPECT_EQ(reg.GetCounter("mm.index.scache_probe_hit_count")->value(), 0u);
+  EXPECT_GT(stats.node_reads, 4096u);
+  EXPECT_EQ(stats.queue_fallbacks, stats.node_reads);
+}
+
 // The KV workload's DSM run and its std::map replay fold identical op
 // outcomes — the acceptance criterion's "bit-exact oracle" stated over the
 // whole YCSB-style op stream (run under MM_FAULT_SEED in the flake lane).

@@ -336,7 +336,8 @@ TEST(TierStoreFaults, PermanentFaultFlipsStoreToFailed) {
   storage::TierStore store(&dev, MEGABYTES(1), &inj);
   ASSERT_TRUE(store.Put({1, 0}, std::vector<std::uint8_t>(64, 1), 0.0,
                         nullptr).ok());
-  EXPECT_EQ(store.Get({1, 0}, 0.0, nullptr).status().code(),
+  std::vector<std::uint8_t> out;
+  EXPECT_EQ(store.GetInto({1, 0}, &out, 0.0, nullptr).code(),
             StatusCode::kUnavailable);
   EXPECT_TRUE(store.failed());
   EXPECT_EQ(store.capacity(), 0u);

@@ -296,6 +296,47 @@ TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
           .has_value());
 }
 
+// Vector::TryReadOptimistic reads the rank's own pcache frame; it is not
+// the service's page bypass, so it must leave the mm.readpath.* counters
+// alone (their hits + fallbacks account for the bypass's attempts only).
+TEST(ReadpathServiceTest, VectorFastReadsLeaveReadpathCountersAlone) {
+  auto cluster = sim::Cluster::PaperTestbed(1);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(8)},
+                    {sim::TierKind::kNvme, MEGABYTES(32)}};
+  core::Service svc(cluster.get(), so);
+  auto counters = [&svc] {
+    telemetry::MetricsRegistry& reg = svc.metrics(0);
+    return std::vector<std::uint64_t>{
+        reg.GetCounter("mm.readpath.fastpath_hit_count")->value(),
+        reg.GetCounter("mm.readpath.retry_count")->value(),
+        reg.GetCounter("mm.readpath.fallback_count")->value()};
+  };
+  constexpr std::uint64_t kElems = 256;
+  std::vector<std::uint64_t> before, after;
+  std::uint64_t served = 0;
+  auto run = comm::RunRanks(*cluster, 1, 1, [&](comm::RankContext& ctx) {
+    core::VectorOptions vo;
+    vo.nonvolatile = false;
+    vo.page_size = 1024;
+    vo.optimistic_readers = true;
+    Vector<std::uint64_t> vec(svc, ctx, "readpath_vector_counters", kElems,
+                              vo);
+    for (std::uint64_t i = 0; i < kElems; ++i) vec.Set(i, i * 3);
+    vec.Commit();
+    before = counters();
+    for (std::uint64_t i = 0; i < kElems; ++i) {
+      std::uint64_t v = 0;
+      if (vec.TryReadOptimistic(i, &v) && v == i * 3) ++served;
+    }
+    after = counters();
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
+  EXPECT_EQ(served, kElems);
+  EXPECT_EQ(after, before)
+      << "fastpath_hit, retry, fallback moved by pcache-frame reads";
+}
+
 // A page read racing in-place commits must never be mistaken for
 // corruption. One thread commits 256-byte regions into a resident 4 KiB
 // page on its owner while reader threads read the whole page with

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "mm/mega_mmap.h"
@@ -135,8 +137,9 @@ TEST_F(ServiceTest, VersionsIncrementPerCommit) {
       EXPECT_EQ(outcome.prev_version, expect - 1);
     }
   }
-  EXPECT_EQ(svc_->PageVersion(**meta, 0, 0, 0.0, nullptr), 3u);
-  EXPECT_EQ(svc_->PageVersion(**meta, 99, 0, 0.0, nullptr), 0u);
+  auto loc = svc_->metadata().Lookup({(*meta)->vector_id, 0}, 0, 0.0, nullptr);
+  ASSERT_TRUE(loc.ok());
+  EXPECT_EQ(loc->version, 3u);
 }
 
 TEST_F(ServiceTest, ScoresReachTheOrganizer) {
@@ -387,6 +390,32 @@ TEST_F(CommitPathTest, InPlaceAndMaterializedCommitsBumpTheVersionAlike) {
   EXPECT_EQ(materialized.crc, Crc32(*page));
 }
 
+// ---- thread names ----
+
+// /proc/<pid>/task/*/comm tells the threads apart: rank threads are
+// rank<N>, service workers n<node>-w<i> (high-latency group) or
+// n<node>-ll<i> (low-latency group).
+TEST(ThreadNames, RankAndWorkerThreadsAreNamed) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(4)}};
+  Service svc(cluster.get(), so);
+  std::set<std::string> names;
+  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    if (ctx.rank() != 0) return;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      std::ifstream in(task.path() / "comm");
+      std::string name;
+      if (std::getline(in, name)) names.insert(name);
+    }
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
+  EXPECT_EQ(names.count("rank0"), 1u);
+  EXPECT_EQ(names.count("n1-w0"), 1u);
+  EXPECT_EQ(names.count("n0-ll0"), 1u);
+}
+
 // ---- ServiceOptions::FromYaml ----
 
 TEST(ServiceOptionsYaml, ParsesFullConfig) {
@@ -409,8 +438,6 @@ TEST(ServiceOptionsYaml, ParsesFullConfig) {
   ASSERT_TRUE(opts.ok());
   EXPECT_EQ(opts->workers_per_node, 3);
   EXPECT_EQ(opts->low_latency_workers, 2);
-  EXPECT_EQ(opts->low_latency_threshold, 32 * kKiB);
-  EXPECT_EQ(opts->organize_every, 16);
   EXPECT_FALSE(opts->enable_prefetch);
   EXPECT_TRUE(opts->enable_organizer);
   ASSERT_EQ(opts->tier_grants.size(), 3u);

@@ -29,10 +29,10 @@ TEST_F(TierStoreTest, PutGetRoundTrip) {
   EXPECT_GT(done, 0.0);
   EXPECT_TRUE(store_.Contains(id));
   EXPECT_EQ(store_.used(), 1000u);
-  auto data = store_.Get(id, done, &done);
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ(data->size(), 1000u);
-  EXPECT_EQ((*data)[999], 0xAB);
+  std::vector<std::uint8_t> data;
+  ASSERT_TRUE(store_.GetInto(id, &data, done, &done).ok());
+  EXPECT_EQ(data.size(), 1000u);
+  EXPECT_EQ(data[999], 0xAB);
 }
 
 TEST_F(TierStoreTest, CapacityEnforced) {
@@ -48,28 +48,28 @@ TEST_F(TierStoreTest, OverwriteReusesSpace) {
   // Replacing the blob with an equal-size one must succeed.
   ASSERT_TRUE(store_.Put(id, Bytes(MEGABYTES(1), 2), 0.0, nullptr).ok());
   EXPECT_EQ(store_.used(), MEGABYTES(1));
-  auto data = store_.Get(id, 0.0, nullptr);
-  EXPECT_EQ((*data)[0], 2);
+  std::vector<std::uint8_t> data;
+  ASSERT_TRUE(store_.GetInto(id, &data, 0.0, nullptr).ok());
+  EXPECT_EQ(data[0], 2);
 }
 
 TEST_F(TierStoreTest, PartialReadWrite) {
   BlobId id{2, 3};
   ASSERT_TRUE(store_.Put(id, Bytes(4096, 0), 0.0, nullptr).ok());
   ASSERT_TRUE(store_.PutPartial(id, 100, Bytes(50, 0xCD), 0.0, nullptr).ok());
-  auto frag = store_.GetPartial(id, 90, 70, 0.0, nullptr);
-  ASSERT_TRUE(frag.ok());
-  EXPECT_EQ((*frag)[0], 0);          // byte 90: untouched
-  EXPECT_EQ((*frag)[10], 0xCD);      // byte 100: written
-  EXPECT_EQ((*frag)[59], 0xCD);      // byte 149: written
-  EXPECT_EQ((*frag)[60], 0);         // byte 150: untouched
+  std::vector<std::uint8_t> data;
+  ASSERT_TRUE(store_.GetInto(id, &data, 0.0, nullptr).ok());
+  ASSERT_EQ(data.size(), 4096u);
+  EXPECT_EQ(data[99], 0);     // untouched
+  EXPECT_EQ(data[100], 0xCD);  // written
+  EXPECT_EQ(data[149], 0xCD);  // written
+  EXPECT_EQ(data[150], 0);     // untouched
 }
 
 TEST_F(TierStoreTest, PartialBoundsChecked) {
   BlobId id{2, 3};
   ASSERT_TRUE(store_.Put(id, Bytes(100, 0), 0.0, nullptr).ok());
   EXPECT_EQ(store_.PutPartial(id, 90, Bytes(20, 1), 0.0, nullptr).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(store_.GetPartial(id, 90, 20, 0.0, nullptr).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(store_.PutPartial(BlobId{9, 9}, 0, Bytes(1, 1), 0.0, nullptr)
                 .code(),
