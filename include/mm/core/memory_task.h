@@ -137,7 +137,7 @@ struct MemoryTask {
   enum class Kind : std::uint8_t {
     kGetPage,       // synchronous page fault read
     kWritePartial,  // async dirty-region update (copy-on-write commit)
-    kScore,         // prefetcher importance score for the Data Organizer
+    kScore,         // a batch of prefetcher scores for the Data Organizer
     kStageOut,      // persist a page to the vector's backend
     kErase,         // drop a page from the scache
     kBarrier,       // checkpoint quiesce marker: drains the queue ahead of it
@@ -148,7 +148,10 @@ struct MemoryTask {
   std::uint64_t offset = 0;  // for partial ops, offset within the page
   std::uint64_t size = 0;    // for reads: bytes requested (0 = whole page)
   std::vector<std::uint8_t> data;  // for writes
-  float score = 1.0f;
+  float score = 1.0f;  // placement score for pages this task materializes
+  /// kScore: the hints for pages of vector `id.vector_id` owned by the
+  /// executing node, in the order the prefetcher issued them.
+  std::vector<storage::ScoreHint> hints;
   std::size_t from_node = 0;
   sim::SimTime issue_time = 0.0;
   /// Causal flow identity minted at the request origin (DESIGN.md §11).

@@ -201,7 +201,7 @@ class NodeRuntime {
   std::vector<std::unique_ptr<BlockingQueue<MemoryTask>>> high_queues_;
   std::vector<std::unique_ptr<BlockingQueue<MemoryTask>>> low_queues_;
   std::vector<std::thread> workers_;
-  std::atomic<int> score_updates_{0};
+  std::atomic<std::uint64_t> score_updates_{0};  // hints applied
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<bool> shut_down_{false};
 };
@@ -467,9 +467,11 @@ class Service {
                                               std::size_t from_node,
                                               sim::SimTime now);
 
-  /// Async importance-score update for the Data Organizer.
-  void SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
-                   std::size_t from_node, sim::SimTime now);
+  /// Async importance-score updates for the Data Organizer: one kScore
+  /// task per owner node, carrying that node's hints in issue order.
+  void SubmitScores(VectorMeta& meta,
+                    const std::vector<storage::ScoreHint>& hints,
+                    std::size_t from_node, sim::SimTime now);
 
   /// Stages all dirty pages of a vector to its backend; returns when
   /// persisted (real time). `*done` gets the last simulated completion.

@@ -211,7 +211,10 @@ class Vector {
           hi_(o.hi_),
           first_page_(o.first_page_),
           writable_(o.writable_),
-          pages_(std::move(o.pages_)) {
+          pages_(std::move(o.pages_)),
+          run_lo_(o.run_lo_),
+          run_n_(o.run_n_),
+          run_base_(o.run_base_) {
       o.vec_ = nullptr;
       o.pages_.clear();
     }
@@ -226,16 +229,8 @@ class Vector {
     bool writable() const { return writable_; }
 
     /// Access by global element index (must be in [lo, hi); unchecked).
-    T& operator[](std::uint64_t i) {
-      std::uint64_t elem;
-      std::uint64_t page = vec_->PageOf(i, &elem);
-      return pages_[page - first_page_][elem];
-    }
-    const T& operator[](std::uint64_t i) const {
-      std::uint64_t elem;
-      std::uint64_t page = vec_->PageOf(i, &elem);
-      return pages_[page - first_page_][elem];
-    }
+    T& operator[](std::uint64_t i) { return *Locate(i); }
+    const T& operator[](std::uint64_t i) const { return *Locate(i); }
 
     class Iterator {
      public:
@@ -268,6 +263,22 @@ class Vector {
     Span(Vector* vec, std::uint64_t lo, std::uint64_t hi, bool writable)
         : vec_(vec), lo_(lo), hi_(hi), writable_(writable) {}
 
+    /// Element `i`'s address. Only an index outside the page run resolved
+    /// last pays PageOf (a division when elems-per-page is not a power of
+    /// two); the loops over a span stay within one run per page. The cache
+    /// makes even const access mutate the span, which, like its Vector,
+    /// belongs to one rank thread.
+    T* Locate(std::uint64_t i) const {
+      const std::uint64_t d = i - run_lo_;  // wraps for i < run_lo_
+      if (d < run_n_) return run_base_ + d;
+      std::uint64_t elem;
+      const std::uint64_t page = vec_->PageOf(i, &elem);
+      run_lo_ = i - elem;
+      run_n_ = vec_->epp_;
+      run_base_ = pages_[page - first_page_];
+      return run_base_ + elem;
+    }
+
     Vector* vec_;
     std::uint64_t lo_;
     std::uint64_t hi_;
@@ -275,6 +286,11 @@ class Vector {
     bool writable_;
     /// Base pointer (element 0) of each pinned overlapping page.
     std::vector<T*> pages_;
+    /// Cached page run: elements [run_lo_, run_lo_ + run_n_) start at
+    /// run_base_. Empty until the first access.
+    mutable std::uint64_t run_lo_ = 0;
+    mutable std::uint64_t run_n_ = 0;
+    mutable T* run_base_ = nullptr;
   };
 
   /// Read-only span over [lo, hi): pages are resolved and pinned once, the
@@ -512,8 +528,12 @@ class Vector {
   };
 
   /// Iterating a TxHandle visits the transaction's access sequence:
-  /// `for (T& x : tx) ...`.
-  class TxHandle {
+  /// `for (T& x : tx) ...`. Callers that only index the vector still hold
+  /// the handle to name the transaction up to its TxEnd, so a handle that is
+  /// never iterated is not an unused variable. (GCC honours the GNU form of
+  /// the attribute on a member class of a template; it ignores
+  /// `[[maybe_unused]]` and `[[gnu::unused]]` there.)
+  class __attribute__((unused)) TxHandle {
    public:
     explicit TxHandle(Vector* vec) : vec_(vec) {}
     TxIterator begin() { return TxIterator(vec_, 0); }
@@ -851,18 +871,18 @@ class Vector {
     }
   }
 
-  /// One Algorithm 1 invocation.
+  /// One Algorithm 1 invocation. The step's score hints are collected in
+  /// order and sent at its end, one batch per owner node.
   void PrefetchStep() {
     if (tx_ == nullptr || !service_->options().enable_prefetch) return;
     PrefetchVecState state;
     state.max_bytes = options_.pcache_bytes;
     state.cur_bytes = pcache_->committed();
     state.page_bytes = meta_->page_bytes;
+    std::vector<storage::ScoreHint> hints;
     PrefetcherOps ops;
     ops.set_score = [&](std::uint64_t page, float score) {
-      score_count_->Inc();
-      service_->SubmitScore(*meta_, page, score, ctx_->node(),
-                            ctx_->clock().now());
+      hints.push_back(storage::ScoreHint{page, score});
     };
     ops.evict_page = [&](std::uint64_t page) {
       // Pages pinned by a live span survive the eviction pass.
@@ -884,6 +904,9 @@ class Vector {
       return service_->EstimateReadSeconds(*meta_, page, bytes);
     };
     Prefetcher::Step(state, *tx_, Prefetcher::kMinScore, ops);
+    if (hints.empty()) return;
+    score_count_->Inc(hints.size());
+    service_->SubmitScores(*meta_, hints, ctx_->node(), ctx_->clock().now());
   }
 
   Service* service_;

@@ -35,6 +35,14 @@ struct BlobIdHash {
   }
 };
 
+/// One Data Organizer hint: a page of some vector and its new importance
+/// score. Hints travel in batches (one per owner node per prefetch step)
+/// and apply in order, so a later hint for the same page wins.
+struct ScoreHint {
+  std::uint64_t page_idx = 0;
+  float score = 0.0f;
+};
+
 /// Where a blob currently lives and how it is scored.
 struct BlobLocation {
   std::size_t node = 0;

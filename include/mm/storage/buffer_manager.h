@@ -89,13 +89,14 @@ class BufferManager {
   /// CRC-32 of a resident blob (integrity metadata; no device charge).
   StatusOr<std::uint32_t> Checksum(const BlobId& id) const;
 
-  /// Re-scores a resident blob (organizer input).
-  void SetScore(const BlobId& id, float score);
+  /// Re-scores pages of one vector (organizer input), in order and under
+  /// one lock: a later hint for the same page wins.
+  void SetScores(std::uint64_t vector_id, const std::vector<ScoreHint>& hints);
   float GetScore(const BlobId& id) const;
 
   /// Organizer sweep: promotes the highest-scoring blobs upward while
-  /// faster tiers have room, and demotes low-scoring blobs out of
-  /// pressured tiers. Returns the number of blobs moved.
+  /// faster tiers have room. A tier with no blob that fits in the free
+  /// space above it is skipped. Returns the number of blobs moved.
   int Rebalance(sim::SimTime now, sim::SimTime* done);
 
   /// Idle-device estimate of reading `bytes` from the tier holding `id`

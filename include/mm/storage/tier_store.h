@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mm/sim/device.h"
@@ -81,6 +82,10 @@ class TierStore {
 
   /// Lists blob ids currently stored (snapshot).
   std::vector<BlobId> ListBlobs() const;
+
+  /// Blobs of at most `max_bytes`, with their sizes (snapshot).
+  std::vector<std::pair<BlobId, std::uint64_t>> ListBlobsUpTo(
+      std::uint64_t max_bytes) const;
 
   // --- fault handling ---
 

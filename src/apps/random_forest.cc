@@ -223,10 +223,9 @@ using EvalSweepFn =
     std::function<void(const std::function<void(std::uint64_t, const Sample&)>&)>;
 
 /// Shared driver once samples and evaluation accessors exist.
-RfResult RunForest(
-    comm::Communicator& comm, const RfConfig& cfg, std::uint64_t lo,
-    std::uint64_t n_local, const EvalSweepFn& for_each_eval,
-    const std::function<std::vector<Sample>(int tree)>& bag) {
+RfResult RunForest(comm::Communicator& comm, const RfConfig& cfg,
+                   std::uint64_t n_local, const EvalSweepFn& for_each_eval,
+                   const std::function<std::vector<Sample>(int tree)>& bag) {
   comm::RankContext& ctx = comm.ctx();
   RfResult result;
 
@@ -337,7 +336,7 @@ RfResult RandomForestMega(core::Service& service, comm::Communicator& comm,
         labels.TxEnd();
       };
 
-  auto result = RunForest(comm, cfg, lo, n_local, for_each_eval, bag);
+  auto result = RunForest(comm, cfg, n_local, for_each_eval, bag);
   result.faults = pts.faults() + labels.faults();
   return result;
 }
@@ -380,7 +379,7 @@ RfResult RandomForestSpark(sparklike::SparkEnv& env, comm::Communicator& comm,
       };
   comm::RankContext& ctx = comm.ctx();
   // JVM factor on the evaluation/bagging compute.
-  auto result = RunForest(comm, cfg, lo, n_local, for_each_eval, bag);
+  auto result = RunForest(comm, cfg, n_local, for_each_eval, bag);
   ctx.Compute(ctx.costs().jvm_dispatch_s * cfg.num_trees);
   return result;
 }

@@ -17,8 +17,9 @@ constexpr std::uint64_t kControlBytes = 64;  // task request envelope
 // Reads and scores strictly below this size take the low-latency worker
 // group (paper §III-B: 16 KB).
 constexpr std::uint64_t kLowLatencyThreshold = 16 * kKiB;
-// Score updates between Data Organizer rebalance sweeps.
-constexpr int kOrganizeEvery = 64;
+// Score hints between Data Organizer rebalance sweeps (counted in hints,
+// not in the batches that carry them).
+constexpr std::uint64_t kOrganizeEvery = 64;
 // Flight-recorder ring capacity in spans (most recent kept).
 constexpr std::size_t kFlightRecCapacity = 256;
 
@@ -191,7 +192,13 @@ Status NodeRuntime::Submit(MemoryTask task) {
   bool is_write = task.kind == MemoryTask::Kind::kWritePartial ||
                   task.kind == MemoryTask::Kind::kStageOut ||
                   task.kind == MemoryTask::Kind::kErase;
-  std::uint64_t digest = task.id.Digest();
+  // Score batches route by (vector, source node), so every batch a rank
+  // sends for a vector lands on one queue and a page's hints stay FIFO per
+  // source; everything else routes by page.
+  const std::uint64_t digest =
+      task.kind == MemoryTask::Kind::kScore
+          ? HashCombine(MixU64(task.id.vector_id), task.from_node)
+          : task.id.Digest();
   // Writes always go to the (ordered, page-hashed) high-latency group so
   // same-page writes serialize; small reads and scores take the
   // low-latency group to dodge head-of-line blocking (paper §III-B).
@@ -688,12 +695,17 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
 TaskOutcome NodeRuntime::ExecuteScore(MemoryTask& task) {
   TaskOutcome out;
   out.done = task.issue_time;
-  bm_.SetScore(task.id, task.score);
+  bm_.SetScores(task.id.vector_id, task.hints);
   if (options_.enable_organizer) {
-    int n = score_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n % kOrganizeEvery == 0) {
-      sim::SimTime done = task.issue_time;
-      bm_.Rebalance(task.issue_time, &done);
+    // One sweep per kOrganizeEvery hints: as many as the batch carried the
+    // node's running hint count across a multiple of it.
+    const std::uint64_t before = score_updates_.fetch_add(
+        task.hints.size(), std::memory_order_relaxed);
+    const std::uint64_t sweeps =
+        (before + task.hints.size()) / kOrganizeEvery - before / kOrganizeEvery;
+    for (std::uint64_t i = 0; i < sweeps; ++i) {
+      sim::SimTime done = out.done;
+      bm_.Rebalance(out.done, &done);
       out.done = done;
     }
   }
@@ -1661,20 +1673,32 @@ std::shared_future<TaskOutcome> Service::WriteRegion(
   return future;
 }
 
-void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
-                          std::size_t from_node, sim::SimTime now) {
-  if (!options_.enable_organizer) return;
-  storage::BlobId id{meta.vector_id, page};
-  auto loc = metadata().Lookup(id, from_node, now, nullptr);
-  if (!loc.ok()) return;  // nothing placed yet; nothing to organize
-  MemoryTask task;
-  task.kind = MemoryTask::Kind::kScore;
-  task.id = id;
-  task.score = score;
-  task.from_node = from_node;
-  task.issue_time = now;
-  // Fire-and-forget score hint: a shutdown rejection loses only a hint.
-  (void)runtime(loc->node).Submit(std::move(task));
+void Service::SubmitScores(VectorMeta& meta,
+                           const std::vector<storage::ScoreHint>& hints,
+                           std::size_t from_node, sim::SimTime now) {
+  if (!options_.enable_organizer || hints.empty()) return;
+  std::vector<storage::BlobId> ids;
+  ids.reserve(hints.size());
+  for (const storage::ScoreHint& h : hints) {
+    ids.push_back(storage::BlobId{meta.vector_id, h.page_idx});
+  }
+  auto locs = metadata().LookupBatch(ids, from_node, now, nullptr);
+  // One batch per owner node, hints kept in issue order. Pages not placed
+  // yet have nothing to organize and are dropped.
+  std::vector<MemoryTask> batches(num_nodes());
+  for (std::size_t i = 0; i < hints.size(); ++i) {
+    if (locs[i].has_value()) batches[locs[i]->node].hints.push_back(hints[i]);
+  }
+  for (std::size_t node = 0; node < batches.size(); ++node) {
+    MemoryTask& task = batches[node];
+    if (task.hints.empty()) continue;
+    task.kind = MemoryTask::Kind::kScore;
+    task.id = storage::BlobId{meta.vector_id, 0};
+    task.from_node = from_node;
+    task.issue_time = now;
+    // Fire-and-forget: a shutdown rejection loses only hints.
+    (void)runtime(node).Submit(std::move(task));
+  }
 }
 
 Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,

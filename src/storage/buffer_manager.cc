@@ -184,9 +184,12 @@ StatusOr<std::uint32_t> BufferManager::Checksum(const BlobId& id) const {
   return NotFound("blob " + id.ToString() + " not resident");
 }
 
-void BufferManager::SetScore(const BlobId& id, float score) {
+void BufferManager::SetScores(std::uint64_t vector_id,
+                              const std::vector<ScoreHint>& hints) {
   MutexLock lock(mu_);
-  scores_[id] = score;
+  for (const ScoreHint& h : hints) {
+    scores_[BlobId{vector_id, h.page_idx}] = h.score;
+  }
 }
 
 float BufferManager::GetScore(const BlobId& id) const {
@@ -250,23 +253,35 @@ int BufferManager::Rebalance(sim::SimTime now, sim::SimTime* done) {
   MutexLock lock(mu_);
   int moved = 0;
   // Promote pass: walk slower tiers and pull the highest-scoring blobs into
-  // any free space above them.
+  // any free space above them. Moves out of tier t only fill the tiers
+  // above it, so the largest free space above t only shrinks during the
+  // pass: a blob larger than it now can never move, and a tier holding no
+  // smaller blob is skipped without sorting anything.
+  struct Candidate {
+    float score;
+    BlobId id;
+    std::uint64_t size;
+  };
   for (std::size_t t = tiers_.size(); t-- > 1;) {
     if (tiers_[t]->failed()) continue;
-    std::vector<std::pair<float, BlobId>> candidates;
-    for (const BlobId& id : tiers_[t]->ListBlobs()) {
+    std::uint64_t room = 0;
+    for (std::size_t up = 0; up < t; ++up) {
+      room = std::max(room, tiers_[up]->free_bytes());  // 0 once failed
+    }
+    if (room == 0) continue;
+    std::vector<Candidate> candidates;
+    for (const auto& [id, size] : tiers_[t]->ListBlobsUpTo(room)) {
       auto it = scores_.find(id);
       float s = it == scores_.end() ? 0.0f : it->second;
-      if (s > 0.0f) candidates.emplace_back(s, id);
+      if (s > 0.0f) candidates.push_back({s, id, size});
     }
     std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (const auto& [score, id] : candidates) {
-      std::uint64_t size = tiers_[t]->BlobSize(id);
+              [](const auto& a, const auto& b) { return a.score > b.score; });
+    for (const Candidate& c : candidates) {
       // Find the fastest live tier with room.
       for (std::size_t up = 0; up < t; ++up) {
-        if (!tiers_[up]->failed() && tiers_[up]->free_bytes() >= size) {
-          if (Move(id, t, up, now, done).ok()) {
+        if (!tiers_[up]->failed() && tiers_[up]->free_bytes() >= c.size) {
+          if (Move(c.id, t, up, now, done).ok()) {
             ++moved;
             promotions_->Inc();
           }

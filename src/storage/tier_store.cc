@@ -190,6 +190,16 @@ std::vector<BlobId> TierStore::ListBlobs() const {
   return ids;
 }
 
+std::vector<std::pair<BlobId, std::uint64_t>> TierStore::ListBlobsUpTo(
+    std::uint64_t max_bytes) const {
+  MutexLock lock(mu_);
+  std::vector<std::pair<BlobId, std::uint64_t>> out;
+  for (const auto& [id, bytes] : blobs_) {
+    if (bytes.size() <= max_bytes) out.emplace_back(id, bytes.size());
+  }
+  return out;
+}
+
 std::vector<BlobId> TierStore::FailAndDrain() {
   failed_.store(true, std::memory_order_release);
   MutexLock lock(mu_);

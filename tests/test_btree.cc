@@ -193,7 +193,9 @@ TEST(BTreeProperty, MatchesMapOracleUnderSeedSweep) {
           std::uint64_t v = 0;
           auto it = oracle.find(k);
           ASSERT_EQ(tree.Get(k, &v), it != oracle.end()) << "key " << k;
-          if (it != oracle.end()) EXPECT_EQ(v, it->second);
+          if (it != oracle.end()) {
+            EXPECT_EQ(v, it->second);
+          }
           std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
           tree.Scan(k, 8, &got);
           auto oit = oracle.lower_bound(k);

@@ -154,6 +154,62 @@ TEST_F(BufferManagerTest, RebalanceLeavesZeroScoreBlobsDown) {
   EXPECT_EQ(bm_->FindBlob(BlobId{1, 0}), std::make_optional<std::size_t>(1));
 }
 
+// Rebalance only fills free space above a tier; these pin down that it
+// moves exactly the blobs that fit, highest score first, and nothing else.
+TEST_F(BufferManagerTest, RebalanceMovesNothingWhenTiersAboveAreFull) {
+  ASSERT_TRUE(
+      bm_->PutScored(BlobId{1, 0}, Bytes(MEGABYTES(1), 1), 0.9f, 0.0, nullptr)
+          .ok());
+  ASSERT_TRUE(
+      bm_->PutScored(BlobId{1, 1}, Bytes(MEGABYTES(2), 2), 0.8f, 0.0, nullptr)
+          .ok());
+  ASSERT_TRUE(
+      bm_->PutScored(BlobId{1, 2}, Bytes(1000, 3), 0.7f, 0.0, nullptr).ok());
+  ASSERT_EQ(bm_->FindBlob(BlobId{1, 2}), std::make_optional<std::size_t>(2));
+  bm_->SetScores(1, {{2, 0.99f}});  // outranks everything above it
+  EXPECT_EQ(bm_->Rebalance(0.0, nullptr), 0);
+  const float want[] = {0.9f, 0.8f, 0.99f};
+  for (std::uint64_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(bm_->FindBlob(BlobId{1, p}), std::make_optional<std::size_t>(p));
+    EXPECT_FLOAT_EQ(bm_->GetScore(BlobId{1, p}), want[p]);
+  }
+}
+
+TEST_F(BufferManagerTest, RebalanceWithRoomForOneBlobMovesTheBestOne) {
+  BufferManager bm(&cluster_->node(0), {{TierKind::kDram, 6000},
+                                        {TierKind::kNvme, MEGABYTES(1)}});
+  ASSERT_TRUE(
+      bm.PutScored(BlobId{1, 0}, Bytes(6000, 1), 0.9f, 0.0, nullptr).ok());
+  const float scores[] = {0.5f, 0.7f, 0.6f};  // pages 1..3
+  for (std::uint64_t p = 1; p <= 3; ++p) {
+    ASSERT_EQ(*bm.PutScored(BlobId{1, p}, Bytes(4000, 2), scores[p - 1], 0.0,
+                            nullptr),
+              1u);
+  }
+  ASSERT_TRUE(bm.Erase(BlobId{1, 0}).ok());  // DRAM room: one 4000 B blob
+  EXPECT_EQ(bm.Rebalance(0.0, nullptr), 1);
+  EXPECT_EQ(bm.FindBlob(BlobId{1, 2}), std::make_optional<std::size_t>(0));
+  EXPECT_EQ(bm.FindBlob(BlobId{1, 1}), std::make_optional<std::size_t>(1));
+  EXPECT_EQ(bm.FindBlob(BlobId{1, 3}), std::make_optional<std::size_t>(1));
+}
+
+TEST_F(BufferManagerTest, RebalanceSkipsABlobTooLargeForTheRoom) {
+  BufferManager bm(&cluster_->node(0), {{TierKind::kDram, 6000},
+                                        {TierKind::kNvme, MEGABYTES(1)}});
+  ASSERT_TRUE(
+      bm.PutScored(BlobId{1, 0}, Bytes(6000, 1), 0.9f, 0.0, nullptr).ok());
+  ASSERT_EQ(*bm.PutScored(BlobId{1, 1}, Bytes(5000, 2), 0.8f, 0.0, nullptr),
+            1u);
+  ASSERT_EQ(*bm.PutScored(BlobId{1, 2}, Bytes(3000, 3), 0.3f, 0.0, nullptr),
+            1u);
+  ASSERT_TRUE(bm.Erase(BlobId{1, 0}).ok());
+  ASSERT_EQ(*bm.PutScored(BlobId{1, 3}, Bytes(2000, 4), 0.95f, 0.0, nullptr),
+            0u);  // DRAM room left: 4000 B
+  EXPECT_EQ(bm.Rebalance(0.0, nullptr), 1);
+  EXPECT_EQ(bm.FindBlob(BlobId{1, 1}), std::make_optional<std::size_t>(1));
+  EXPECT_EQ(bm.FindBlob(BlobId{1, 2}), std::make_optional<std::size_t>(0));
+}
+
 TEST_F(BufferManagerTest, EstimateReadSecondsReflectsTier) {
   ASSERT_TRUE(
       bm_->PutScored(BlobId{1, 0}, Bytes(1000, 1), 0.9f, 0.0, nullptr).ok());
@@ -163,8 +219,10 @@ TEST_F(BufferManagerTest, EstimateReadSecondsReflectsTier) {
 }
 
 TEST_F(BufferManagerTest, ScoresPersist) {
-  bm_->SetScore(BlobId{3, 3}, 0.7f);
+  // Hints apply in order: the later one for page 3 wins.
+  bm_->SetScores(3, {{3, 0.2f}, {5, 0.4f}, {3, 0.7f}});
   EXPECT_FLOAT_EQ(bm_->GetScore(BlobId{3, 3}), 0.7f);
+  EXPECT_FLOAT_EQ(bm_->GetScore(BlobId{3, 5}), 0.4f);
   EXPECT_FLOAT_EQ(bm_->GetScore(BlobId{4, 4}), 0.0f);
 }
 

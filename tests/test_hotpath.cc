@@ -8,6 +8,7 @@
 
 #include "mm/core/memory_task.h"
 #include "mm/mega_mmap.h"
+#include "mm/util/rng.h"
 
 namespace mm {
 namespace {
@@ -167,6 +168,50 @@ TEST_F(HotPathTest, SpanWritesAreDurableAcrossReopen) {
       for (std::uint64_t i = 0; i < kN; ++i) {
         ASSERT_EQ(span[i], i + 1) << "element " << i;
       }
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+}
+
+// A 24-byte element gives 170 elements per 4 KiB page, not a power of two,
+// so a span's cached page run is re-resolved by division whenever an index
+// leaves it. Reads across page boundaries forwards, backwards and in
+// random order must all match the scalar path.
+TEST_F(HotPathTest, SpanMatchesReadAcrossPagesInAnyOrder) {
+  struct Rec {
+    std::uint64_t a, b, c;
+  };
+  static_assert(sizeof(Rec) == 24);
+  Service svc(cluster_.get(), sopts_);
+  auto result = comm::RunRanks(*cluster_, 1, 1, [&](comm::RankContext& ctx) {
+    constexpr std::uint64_t kN = 2000;  // 12 pages, fits the 16-page pcache
+    Vector<Rec> v(svc, ctx, Key("posix", "rec.bin"), kN, SmallPages());
+    const std::uint64_t epp = v.elems_per_page();
+    ASSERT_NE(epp & (epp - 1), 0u);
+    {
+      auto span = v.WriteSpan(0, kN);
+      for (std::uint64_t i = 0; i < kN; ++i) span[i] = Rec{i, 3 * i, ~i};
+    }
+    std::vector<Rec> want(kN);
+    for (std::uint64_t i = 0; i < kN; ++i) want[i] = v.Read(i);
+    auto check = [&](const Vector<Rec>::Span& span, std::uint64_t i) {
+      const Rec& r = span[i];
+      ASSERT_TRUE(r.a == want[i].a && r.b == want[i].b && r.c == want[i].c)
+          << "element " << i;
+    };
+    {
+      auto span = v.ReadSpan(0, kN);
+      for (std::uint64_t i = 0; i < kN; ++i) check(span, i);
+      for (std::uint64_t i = kN; i-- > 0;) check(span, i);
+      Rng rng(17);
+      for (int k = 0; k < 4000; ++k) check(span, rng.NextBounded(kN));
+    }
+    {
+      // A window that starts and ends mid-page.
+      const std::uint64_t lo = epp - 5, hi = 3 * epp + 7;
+      auto span = v.ReadSpan(lo, hi);
+      for (std::uint64_t i = hi; i-- > lo;) check(span, i);
+      for (std::uint64_t i = lo; i < hi; ++i) check(span, i);
     }
   });
   ASSERT_TRUE(result.ok()) << result.error;

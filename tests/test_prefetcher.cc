@@ -119,7 +119,9 @@ TEST(PrefetcherTest, ScoresDecreaseWithDistance) {
   }
   // All extended scores respect the floor.
   for (auto& [page, score] : h.scores) {
-    if (page >= 4) EXPECT_GT(score, 0.1f);
+    if (page >= 4) {
+      EXPECT_GT(score, 0.1f);
+    }
   }
 }
 

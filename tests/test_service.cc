@@ -153,7 +153,7 @@ TEST_F(ServiceTest, ScoresReachTheOrganizer) {
   auto loc = svc_->metadata().Lookup({(*meta)->vector_id, 0}, 0, 0.0, nullptr);
   ASSERT_TRUE(loc.ok());
   std::size_t owner = loc->node;
-  svc_->SubmitScore(**meta, 0, 0.77f, 0, 0.0);
+  svc_->SubmitScores(**meta, {{0, 0.77f}}, 0, 0.0);
   // Scores are async: poll the owner's buffer manager (real time).
   storage::BlobId id{(*meta)->vector_id, 0};
   float score = 0;
@@ -163,6 +163,114 @@ TEST_F(ServiceTest, ScoresReachTheOrganizer) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FLOAT_EQ(score, 0.77f);
+}
+
+// ---- Data Organizer hints: order and sweep cadence ----
+
+// One node, a volatile vector of `pages` 4 KiB pages, each placed by a
+// commit from node 0.
+class ScoreHintTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kPage = 4096;
+
+  void Start(ServiceOptions so, std::uint64_t pages) {
+    cluster_ = sim::Cluster::PaperTestbed(1);
+    svc_ = std::make_unique<Service>(cluster_.get(), so);
+    VectorOptions vo;
+    vo.nonvolatile = false;
+    vo.page_size = kPage;
+    auto meta = svc_->RegisterVector("hinted", 1, vo, pages * kPage);
+    ASSERT_TRUE(meta.ok());
+    meta_ = *meta;
+    std::vector<std::uint8_t> bytes(10, 1);
+    for (std::uint64_t p = 0; p < pages; ++p) {
+      ASSERT_TRUE(svc_->WriteRegion(*meta_, p, 0, bytes, 0, 0.0)
+                      .get()
+                      .status.ok());
+    }
+  }
+
+  storage::BlobId Id(std::uint64_t page) const {
+    return storage::BlobId{meta_->vector_id, page};
+  }
+
+  std::uint64_t Promotions() {
+    return svc_->metrics(0).GetCounter("mm.tier.promotion_count")->value();
+  }
+
+  std::unique_ptr<sim::Cluster> cluster_;
+  std::unique_ptr<Service> svc_;
+  VectorMeta* meta_ = nullptr;
+};
+
+// Batches from one source share a queue, so a page's hints apply in the
+// order that source sent them, even with two low-latency workers. Odd
+// repetitions lead the first batch with many hints for another page: it
+// then runs long, and routing by a batch's first page would let the second
+// batch overtake it on the other queue.
+TEST_F(ScoreHintTest, HintsFromOneSourceStayFifo) {
+  ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(1)}};
+  so.low_latency_workers = 2;
+  constexpr std::uint64_t kPages = 8;
+  Start(so, kPages);
+  for (int rep = 0; rep < 200; ++rep) {
+    std::vector<storage::ScoreHint> first;
+    if (rep % 2 == 1) {
+      const std::uint64_t lead = 1 + rep % (kPages - 1);
+      first.assign(2000, storage::ScoreHint{lead, 0.5f});
+    }
+    first.push_back({0, 1.0f});
+    svc_->SubmitScores(*meta_, first, 0, 0.0);
+    svc_->SubmitScores(*meta_, {{0, 0.0f}}, 0, 0.0);
+    svc_->runtime(0).Quiesce(0.0);
+    ASSERT_FLOAT_EQ(svc_->runtime(0).buffer().GetScore(Id(0)), 0.0f)
+        << "repetition " << rep;
+  }
+}
+
+// The sweep cadence counts hints, not batches. DRAM is left with room for
+// exactly one page while pages 1 and 2 wait on NVMe, so a sweep shows as
+// exactly one promotion.
+class SweepCadenceTest : public ScoreHintTest {
+ protected:
+  void SetUp() override {
+    ServiceOptions so;
+    so.tier_grants = {{sim::TierKind::kDram, kPage + kPage / 2},
+                      {sim::TierKind::kNvme, MEGABYTES(1)}};
+    Start(so, 3);  // page 0 fills DRAM; pages 1 and 2 land on NVMe
+    storage::BufferManager& bm = svc_->runtime(0).buffer();
+    ASSERT_EQ(bm.FindBlob(Id(1)), std::make_optional<std::size_t>(1));
+    ASSERT_EQ(bm.FindBlob(Id(2)), std::make_optional<std::size_t>(1));
+    ASSERT_TRUE(bm.Erase(Id(0)).ok());  // room for one page in DRAM
+  }
+
+  void Hint(std::size_t count) {
+    svc_->SubmitScores(
+        *meta_, std::vector<storage::ScoreHint>(count, {1, 0.9f}), 0, 0.0);
+    svc_->runtime(0).Quiesce(0.0);
+  }
+
+  std::size_t InDram() {
+    storage::BufferManager& bm = svc_->runtime(0).buffer();
+    return (bm.FindBlob(Id(1)) == std::make_optional<std::size_t>(0)) +
+           (bm.FindBlob(Id(2)) == std::make_optional<std::size_t>(0));
+  }
+};
+
+TEST_F(SweepCadenceTest, SixtyThreeHintsSweepNothingAndTheNextOneSweeps) {
+  Hint(63);
+  EXPECT_EQ(Promotions(), 0u);
+  EXPECT_EQ(InDram(), 0u);
+  Hint(1);  // the 64th hint, in a batch of its own
+  EXPECT_EQ(Promotions(), 1u);
+  EXPECT_EQ(InDram(), 1u);
+}
+
+TEST_F(SweepCadenceTest, SixtyFourHintsInOneBatchSweepOnce) {
+  Hint(64);
+  EXPECT_EQ(Promotions(), 1u);
+  EXPECT_EQ(InDram(), 1u);
 }
 
 TEST_F(ServiceTest, ChangePhaseDropsReplicas) {

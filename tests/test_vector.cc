@@ -118,7 +118,9 @@ TEST_F(VectorTest, PgasPartitionCoversAllElementsExactly) {
     v.Pgas(ctx.rank(), ctx.size());
     covered.fetch_add(v.local_size());
     // Partitions are contiguous and ordered.
-    if (ctx.rank() == 0) EXPECT_EQ(v.local_off(), 0u);
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(v.local_off(), 0u);
+    }
     EXPECT_LE(v.local_off() + v.local_size(), n);
   });
   ASSERT_TRUE(result.ok()) << result.error;
@@ -398,6 +400,45 @@ TEST_F(VectorTest, PrefetchReducesFaults) {
   run(true, Key("posix", "pf_on.bin"), &faults_with);
   run(false, Key("posix", "pf_off.bin"), &faults_without);
   EXPECT_LT(faults_with, faults_without);
+}
+
+// The Data Organizer's traffic follows prefetch steps and owner nodes, not
+// pages: a scan over 64 placed pages on two nodes executes at most one
+// kScore task per owner per prefetch step. A scalar scan runs one step at
+// TxBegin and one at every page boundary, kPages + 1 in all.
+TEST_F(VectorTest, ScoreHintsTravelAsOneTaskPerOwnerPerStep) {
+  Service svc(cluster_.get(), sopts_);
+  constexpr std::uint64_t kPages = 64;
+  auto score_tasks = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
+      svc.runtime(node).Quiesce(0.0);  // every earlier task has executed
+      n += svc.metrics(node)
+               .GetHistogram("mm.task.score_ns", telemetry::LatencyBoundsNs())
+               ->count();
+    }
+    return n;
+  };
+  auto result = comm::RunRanks(*cluster_, 1, 1, [&](comm::RankContext& ctx) {
+    VectorOptions o = SmallPages();
+    const std::uint64_t n = kPages * o.page_size / sizeof(std::uint64_t);
+    Vector<std::uint64_t> v(svc, ctx, Key("posix", "hints.bin"), n, o);
+    {  // place every page first: hints for unplaced pages are dropped
+      auto tx = v.SeqTxBegin(0, n, MM_WRITE_ONLY);
+      for (std::uint64_t i = 0; i < n; ++i) v[i] = i;
+      v.TxEnd();
+    }
+    const std::uint64_t before = score_tasks();
+    auto tx = v.SeqTxBegin(0, n, MM_READ_ONLY);
+    std::uint64_t sum = 0;
+    for (std::uint64_t x : tx) sum += x;
+    v.TxEnd();
+    EXPECT_EQ(sum, n * (n - 1) / 2);
+    const std::uint64_t tasks = score_tasks() - before;
+    EXPECT_GT(tasks, 0u);
+    EXPECT_LE(tasks, 2 * (kPages + 1));
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
 }
 
 TEST_F(VectorTest, LargeDatasetSpillsToNvme) {
